@@ -13,19 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..backbone import DualEncoder, class_embeddings, encode
-from ..errors import ConfigError
+from ..errors import ConfigError, ContractError
 from ..learner import (
     AdapterMode,
+    InferState,
     PoolEntry,
     TaskPool,
     TrainConfig,
     estimate_task_stats,
-    infer_batch,
+    score_entries,
     train_task,
-    zero_shot_infer,
 )
 from ..numkernel import make_rng
-from ..taskdist import log_density_batch
 from .stream import Task
 
 
@@ -35,11 +34,17 @@ def evaluate_task(
     enc: DualEncoder,
     calibrate: bool = True,
     logit_scale: float = 100.0,
+    state: InferState | None = None,
 ) -> float:
-    """Accuracy of pooled inference on one task's test split."""
-    class_idx, _, _ = infer_batch(
-        task.test_ids, pool, task.class_templates, enc, calibrate, logit_scale
-    )
+    """Accuracy of pooled inference on one task's test split.
+
+    state carries the split's frozen features, scores and decisions from
+    one checkpoint to the next (see InferState); without it the split is
+    evaluated from scratch through the same code.
+    """
+    if state is None:
+        state = InferState()
+    class_idx = state.infer(task.test_ids, pool, task.class_templates, enc, calibrate)
     return float((class_idx == task.test_labels).mean())
 
 
@@ -58,6 +63,9 @@ def run_continual(
     n = len(stream)
     pool = TaskPool(entries=[], kind=mode.mechanism)
     matrix = np.zeros((n, n))
+    # One evaluation state per task: each checkpoint scores only the new
+    # entry and re-classifies only the samples it takes over.
+    states = [InferState() for _ in stream]
     for i, task in enumerate(stream):
         # Statistics first, on the frozen encoder; training cannot bias them.
         gaussian, mean_key = estimate_task_stats(task.train_ids, enc, cfg.ridge)
@@ -79,7 +87,7 @@ def run_continual(
             )
         )
         for j, other in enumerate(stream):
-            matrix[i, j] = evaluate_task(other, pool, enc, calibrate, cfg.logit_scale)
+            matrix[i, j] = evaluate_task(other, pool, enc, calibrate, cfg.logit_scale, states[j])
     return matrix, pool
 
 
@@ -87,13 +95,15 @@ def zero_shot_sweep(
     stream: list[Task], enc: DualEncoder, logit_scale: float = 100.0
 ) -> list[float]:
     """Frozen-model accuracy per task (no pool, no adapters)."""
+    # The argmax ignores a positive scale; any other scale is an error, as in logits().
+    if logit_scale <= 0.0:
+        raise ContractError("logit_scale must be positive")
     out = []
     for task in stream:
-        correct = sum(
-            int(zero_shot_infer(ids, task.class_templates, enc, logit_scale) == int(label))
-            for ids, label in zip(task.test_ids, task.test_labels)
-        )
-        out.append(correct / len(task.test_labels))
+        feats = encode(task.test_ids, enc.image)
+        text = class_embeddings(task.class_templates, enc.text)
+        preds = np.argmax(feats @ text.T, axis=1)
+        out.append(float((preds == task.test_labels).mean()))
     return out
 
 
@@ -102,16 +112,16 @@ def assignment_accuracy(stream: list[Task], pool: TaskPool, enc: DualEncoder) ->
 
     For each prefix pool of size i+1 and each task j <= i, the fraction of
     task j's test samples whose best-scoring Gaussian is j. Entries are
-    immutable, so prefix pools reproduce the pool exactly as it stood.
+    immutable, so a prefix of the scores against the final pool reproduces
+    the pool exactly as it stood.
     """
-    feats = [encode(t.test_ids, enc.image) for t in stream]
+    n = len(pool.entries)
     correct = total = 0
-    for i in range(len(pool.entries)):
-        gaussians = [e.gaussian for e in pool.entries[: i + 1]]
-        for j in range(i + 1):
-            scores = np.stack([log_density_batch(g, feats[j]) for g in gaussians], axis=1)
-            correct += int((np.argmax(scores, axis=1) == j).sum())
-            total += feats[j].shape[0]
+    for j, task in enumerate(stream[:n]):
+        scores = score_entries(encode(task.test_ids, enc.image), pool.entries)
+        for i in range(j, n):
+            correct += int((np.argmax(scores[:, : i + 1], axis=1) == j).sum())
+            total += scores.shape[0]
     return correct / total
 
 

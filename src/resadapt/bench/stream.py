@@ -230,8 +230,18 @@ def load_stream(path: str | Path) -> tuple[StreamSpec, list[Task]]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read stream file {path}: {exc}") from exc
-    if doc.get("format") != "resadapt-stream" or doc.get("version") != 1:
+    header = (doc.get("format"), doc.get("version")) if isinstance(doc, dict) else None
+    if header != ("resadapt-stream", 1):
         raise ConfigError(f"not a version-1 resadapt-stream file: {path}")
+    try:
+        return _decode_stream(doc)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed stream file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode_stream(doc: dict) -> tuple[StreamSpec, list[Task]]:
     spec = StreamSpec(**doc["spec"])
     tasks = []
     for t in doc["tasks"]:

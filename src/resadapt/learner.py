@@ -295,6 +295,77 @@ def infer(
     return InferResult(class_idx=class_idx, task_idx=task_idx, weight=w)
 
 
+def score_entries(frozen_feats: np.ndarray, entries: Sequence[PoolEntry]) -> np.ndarray:
+    """(B, len(entries)) log density of each frozen feature row under each entry."""
+    columns = [log_density_batch(e.gaussian, frozen_feats) for e in entries]
+    return np.stack(columns, axis=1) if columns else np.empty((len(frozen_feats), 0))
+
+
+def route(
+    scores: np.ndarray,
+    pool: TaskPool,
+    calibrate: bool = True,
+    prescale: tuple[float, float] = (1.0, 0.0),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Selected entry and residual weight for each row of (B, len(pool)) scores.
+
+    scores are the log densities from score_entries. The best-scoring
+    Gaussian wins (ties go to the lowest index); its score, through the
+    sigmoid, sets the weight.
+    """
+    if len(pool) == 0:
+        raise ContractError("empty task pool")
+    b = scores.shape[0]
+    task_idx = np.argmax(scores, axis=1)
+    if pool.kind == "prepend" or not calibrate:
+        # Prompts have no intensity knob; without calibration w is pinned.
+        weights = np.ones(b)
+    else:
+        weights = calibration_weight_batch(scores[np.arange(b), task_idx], *prescale)
+    return task_idx, weights
+
+
+def classify(
+    ids: np.ndarray,
+    task_idx: np.ndarray,
+    weights: np.ndarray,
+    pool: TaskPool,
+    candidate_classes: Sequence[ClassTemplate],
+    enc: DualEncoder,
+) -> np.ndarray:
+    """Class index of each (B, L) row through its routed entry at its weight.
+
+    Rows are grouped by entry so each group is encoded in one batched pass.
+    Every encode and product is row-independent, so a row's decision does
+    not depend on which other rows share its batch. The cosine products are
+    einsums, not 2-D matmuls: BLAS sums a one-row product (gemv) and a
+    larger one (gemm) in different orders.
+    """
+    template_ids = np.stack([c.token_ids() for c in candidate_classes])
+    k = template_ids.shape[0]
+    class_idx = np.zeros(ids.shape[0], dtype=np.int64)
+    for t in np.unique(task_idx):
+        mask = task_idx == t
+        entry = pool.entries[int(t)]
+        if pool.kind == "prepend":
+            feats = encode(ids[mask], enc.image, entry.adapters.image_adapters)
+            text = class_embeddings(candidate_classes, enc.text, entry.adapters.text_adapters)
+            block = np.einsum("bd,kd->bk", feats, text)
+        else:
+            w_group = weights[mask]
+            feats = encode(ids[mask], enc.image, entry.adapters.image_adapters, w_group)
+            # The text encoder runs at each sample's own w: encode the
+            # templates once per distinct weight, then gather per sample.
+            w_unique, inverse = np.unique(w_group, return_inverse=True)
+            text = np.stack([
+                encode(template_ids, enc.text, entry.adapters.text_adapters, np.full(k, w))
+                for w in w_unique
+            ])
+            block = np.einsum("bd,bkd->bk", feats, text[inverse])
+        class_idx[mask] = np.argmax(block, axis=1)
+    return class_idx
+
+
 def infer_batch(
     token_ids: np.ndarray,
     pool: TaskPool,
@@ -306,49 +377,75 @@ def infer_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized infer over (B, L) token ids; same decisions as infer().
 
-    Returns (class_idx, task_idx, weight) arrays. Samples are grouped by
-    selected task so each group is encoded in one batched pass; per-sample
-    weights ride along as a broadcast factor on the residual branch.
+    Returns (class_idx, task_idx, weight) arrays: route() on the frozen
+    features, then classify() through the routed entries.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ShapeError("infer_batch expects (B, L) token ids")
-    if len(pool) == 0:
-        raise ContractError("empty task pool")
-    b = ids.shape[0]
-    frozen_feats = encode(ids, enc.image)
-    scores = np.stack(
-        [log_density_batch(g, frozen_feats) for g in (e.gaussian for e in pool.entries)], axis=1
-    )
-    task_idx = np.argmax(scores, axis=1)
-    s_hat = scores[np.arange(b), task_idx]
-    if pool.kind == "prepend":
-        weights = np.ones(b)
-    elif calibrate:
-        weights = calibration_weight_batch(s_hat, *prescale)
-    else:
-        weights = np.ones(b)
-    k = len(candidate_classes)
-    template_ids = np.stack([c.token_ids() for c in candidate_classes])
-    class_idx = np.zeros(b, dtype=np.int64)
-    for t in np.unique(task_idx):
-        mask = task_idx == t
-        entry = pool.entries[int(t)]
-        m = int(mask.sum())
-        if pool.kind == "prepend":
-            feats = encode(ids[mask], enc.image, entry.adapters.image_adapters)
-            text = class_embeddings(candidate_classes, enc.text, entry.adapters.text_adapters)
-            block = feats @ text.T
-        else:
-            w_group = weights[mask]
-            feats = encode(ids[mask], enc.image, entry.adapters.image_adapters, w_group)
-            # Each sample carries its own w into the text encoder too, so
-            # templates are encoded per (sample, class) pair.
-            tiled = np.broadcast_to(template_ids, (m,) + template_ids.shape).reshape(
-                m * k, template_ids.shape[1]
-            )
-            w_tiled = np.repeat(w_group, k)
-            text = encode(tiled, enc.text, entry.adapters.text_adapters, w_tiled).reshape(m, k, -1)
-            block = np.einsum("bd,bkd->bk", feats, text)
-        class_idx[mask] = np.argmax(block, axis=1)
+    scores = score_entries(encode(ids, enc.image), pool.entries)
+    task_idx, weights = route(scores, pool, calibrate, prescale)
+    class_idx = classify(ids, task_idx, weights, pool, candidate_classes, enc)
     return class_idx, task_idx, weights
+
+
+@dataclass
+class InferState:
+    """infer_batch over one fixed batch as an append-only pool grows.
+
+    A pool entry never changes once stored, so a row's route moves only when
+    a newly appended entry outscores every older one, and its decision is
+    fixed by its route. The state keeps the batch's frozen features, one
+    log-density column per entry already scored, and the last routes and
+    decisions; each call scores only new entries and re-classifies only the
+    rows whose route changed. Decisions equal a fresh infer_batch on the
+    same pool, bit for bit. The first call binds the state to its inputs;
+    later calls must pass the same ones and a pool that extends the last.
+    """
+
+    inputs: tuple = ()  # (token_ids, enc, classes, calibrate) of the first call
+    ids: np.ndarray | None = None
+    frozen_feats: np.ndarray | None = None
+    scores: np.ndarray | None = None  # (B, len(scored)) log densities
+    scored: list[PoolEntry] = field(default_factory=list)
+    task_idx: np.ndarray | None = None
+    class_idx: np.ndarray | None = None
+
+    def infer(
+        self,
+        token_ids: np.ndarray,
+        pool: TaskPool,
+        candidate_classes: Sequence[ClassTemplate],
+        enc: DualEncoder,
+        calibrate: bool = True,
+    ) -> np.ndarray:
+        """Class index per row of token_ids under pool; see infer_batch."""
+        n = len(self.scored)
+        if len(pool) < n or any(a is not b for a, b in zip(pool.entries, self.scored)):
+            raise ContractError("pool does not extend the pool this state has scored")
+        inputs = (token_ids, enc, tuple(candidate_classes), bool(calibrate))
+        if self.ids is None:
+            ids = np.asarray(token_ids, dtype=np.int64)
+            if ids.ndim != 2:
+                raise ShapeError("InferState expects (B, L) token ids")
+            self.frozen_feats = encode(ids, enc.image)
+            self.inputs, self.ids = inputs, ids
+            self.scores = np.empty((ids.shape[0], 0))
+            self.task_idx = np.full(ids.shape[0], -1)
+            self.class_idx = np.zeros(ids.shape[0], dtype=np.int64)
+        elif not (
+            token_ids is self.inputs[0] and enc is self.inputs[1] and inputs[2:] == self.inputs[2:]
+        ):
+            raise ContractError("state is bound to other token ids, encoder or settings")
+        new = pool.entries[n:]
+        columns = score_entries(self.frozen_feats, new)
+        self.scores = np.concatenate([self.scores, columns], axis=1)
+        self.scored.extend(new)
+        task_idx, weights = route(self.scores, pool, calibrate)
+        moved = task_idx != self.task_idx
+        if np.any(moved):
+            self.class_idx[moved] = classify(
+                self.ids[moved], task_idx[moved], weights[moved], pool, candidate_classes, enc
+            )
+        self.task_idx = task_idx
+        return self.class_idx.copy()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .attention import Adapter, PromptBaseline
 from .backbone import ClassTemplate, EncoderSpec
-from .errors import ConfigError
+from .errors import ConfigError, SingularityError
 from .learner import AdapterSet, PoolEntry, TaskPool
 from .taskdist import TaskGaussian
 from .numkernel import cholesky_factor
@@ -116,7 +116,16 @@ def load_pool(path: str | Path) -> tuple[TaskPool, EncoderSpec]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read pool file {path}: {exc}") from exc
-    if doc.get("format") != FORMAT_NAME:
+    try:
+        return _decode_pool(doc, path)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, SingularityError) as exc:
+        raise ConfigError(f"malformed pool file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ConfigError(f"not a {FORMAT_NAME} file: {path}")
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported pool version {doc.get('version')}")

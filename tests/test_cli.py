@@ -1,7 +1,10 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
+import hashlib
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,16 @@ vocab = 64
 embed_dim = 8
 depth = 2
 """
+
+SMALL_CFG = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"
+
+# sha256(grid.csv + summary.csv) of `resadapt run --config configs/small.cfg`,
+# recorded before checkpoint evaluation became incremental. A speed change
+# that alters any decision changes these bytes.
+SMALL_RUN_DIGESTS = {
+    "iki": "f0ad1da38504d65a7bb137dd0802597086f36ab9ec5d75a07c2b88c04743ccb2",
+    "prepend": "4f5ad05865e9dec98f4d14ed6b4a605801585cdce208ffd1d236fbc7394c0ec3",
+}
 
 GEN_ARGS = ["gen-tasks", "--seed", "0", "--tasks", "2", "--classes", "2",
             "--samples", "20", "--vocab", "64"]
@@ -135,6 +148,29 @@ class TestEval:
                      "--tasks", str(stream_dir), "--out", str(tmp_path / "e")])
         assert code == 2
 
+    def test_pool_without_entries_exits_2(self, tmp_path, stream_dir, pool_file, capsys):
+        doc = json.loads(pool_file.read_text())
+        del doc["entries"]
+        bad = tmp_path / "no_entries.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--pool", str(bad), "--tasks", str(stream_dir),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "entries" in err and len(err.strip().splitlines()) == 1
+
+    def test_stream_without_tasks_exits_2(self, tmp_path, stream_dir, pool_file, capsys):
+        doc = json.loads((stream_dir / "stream.json").read_text())
+        del doc["tasks"]
+        bad = tmp_path / "bad_stream"
+        bad.mkdir()
+        (bad / "stream.json").write_text(json.dumps(doc))
+        code = main(["eval", "--pool", str(pool_file), "--tasks", str(bad),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "tasks" in err and len(err.strip().splitlines()) == 1
+
 
 class TestRun:
     def test_end_to_end_outputs(self, tmp_path, cfg_file):
@@ -156,6 +192,13 @@ class TestRun:
                      "--mode", "iki-ablation:0.5", "--out", str(out)])
         assert code == 0
         assert (out / "grid.csv").is_file()
+
+    @pytest.mark.parametrize("mode", sorted(SMALL_RUN_DIGESTS))
+    def test_small_config_outputs_pinned(self, tmp_path, mode):
+        out = tmp_path / mode
+        assert main(["run", "--config", str(SMALL_CFG), "--mode", mode, "--out", str(out)]) == 0
+        data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SMALL_RUN_DIGESTS[mode]
 
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.cfg"),

@@ -11,8 +11,8 @@ from resadapt.bench.continual import (
     zero_shot_sweep,
 )
 from resadapt.bench.stream import StreamSpec, gen_stream
-from resadapt.errors import ConfigError
-from resadapt.learner import TaskPool, TrainConfig
+from resadapt.errors import ConfigError, ContractError
+from resadapt.learner import InferState, TaskPool, TrainConfig, infer_batch
 
 CFG = TrainConfig(lr0=5.0, epochs=2, batch=16, prompt_len=4, adapter_depth=2, seed=0)
 
@@ -81,6 +81,96 @@ class TestRunContinual:
         assert matrix.shape == (2, 2)
 
 
+@pytest.fixture(scope="module")
+def four_stream():
+    return gen_stream(
+        StreamSpec(num_tasks=4, classes_per_task=2, samples_per_class=20, vocab=64)
+    )
+
+
+@pytest.fixture(scope="module")
+def four_run(four_stream, small_encoder):
+    return run_continual(four_stream, small_encoder, CFG)
+
+
+def _prefix(pool: TaskPool, size: int) -> TaskPool:
+    return TaskPool(entries=pool.entries[:size], kind=pool.kind)
+
+
+class TestCachedEvaluation:
+    @pytest.mark.parametrize(
+        "mode,calibrate",
+        [("iki", True), ("prepend", True), ("iki-ablation:0.02", True), ("iki", False)],
+    )
+    def test_matrix_equals_fresh_evaluation_every_cell(
+        self, four_stream, small_encoder, mode, calibrate
+    ):
+        # run_continual carries per-task state across checkpoints; every cell,
+        # the upper triangle included, must equal a from-scratch evaluation
+        # with the pool as it stood, and a plain infer_batch over the split.
+        matrix, pool = run_continual(four_stream, small_encoder, CFG, calibrate, mode)
+        for i in range(len(four_stream)):
+            prefix = _prefix(pool, i + 1)
+            for j, task in enumerate(four_stream):
+                fresh = evaluate_task(task, prefix, small_encoder, calibrate)
+                cls, _, _ = infer_batch(
+                    task.test_ids, prefix, task.class_templates, small_encoder, calibrate
+                )
+                assert matrix[i, j] == fresh == float((cls == task.test_labels).mean())
+
+    def test_unseen_samples_rerouted_between_older_entries(
+        self, four_run, four_stream, small_encoder
+    ):
+        # The case the cache must get right: before its own entry exists, a
+        # task's samples move from one foreign entry to a newer one.
+        _, pool = four_run
+        task = four_stream[-1]
+        state = InferState()
+        routes = []
+        for i in range(len(pool) - 1):
+            state.infer(task.test_ids, _prefix(pool, i + 1), task.class_templates, small_encoder)
+            routes.append(state.task_idx.copy())
+        assert any(np.any(a != b) for a, b in zip(routes, routes[1:]))
+
+    def test_state_skipping_checkpoints_matches_fresh(self, four_run, four_stream, small_encoder):
+        # A pool that grew by several entries since the last call re-routes
+        # samples to more than one new entry at once.
+        _, pool = four_run
+        for task in four_stream:
+            state = InferState()
+            for size in (1, 3, 4, 4):
+                prefix = _prefix(pool, size)
+                got = state.infer(task.test_ids, prefix, task.class_templates, small_encoder)
+                cls, _, _ = infer_batch(task.test_ids, prefix, task.class_templates, small_encoder)
+                assert np.array_equal(got, cls)
+
+    def test_state_rejects_shrunk_pool(self, four_run, four_stream, small_encoder):
+        _, pool = four_run
+        task = four_stream[0]
+        state = InferState()
+        evaluate_task(task, _prefix(pool, 3), small_encoder, True, 100.0, state)
+        with pytest.raises(ContractError):
+            evaluate_task(task, _prefix(pool, 2), small_encoder, True, 100.0, state)
+
+    def test_state_rejects_foreign_pool(self, four_run, four_stream, small_encoder):
+        _, pool = four_run
+        task = four_stream[0]
+        state = InferState()
+        evaluate_task(task, _prefix(pool, 2), small_encoder, True, 100.0, state)
+        swapped = TaskPool(entries=[pool.entries[1], pool.entries[0], pool.entries[2]])
+        with pytest.raises(ContractError):
+            evaluate_task(task, swapped, small_encoder, True, 100.0, state)
+
+    def test_state_rejects_other_inputs(self, four_run, four_stream, small_encoder):
+        _, pool = four_run
+        state = InferState()
+        evaluate_task(four_stream[0], _prefix(pool, 1), small_encoder, True, 100.0, state)
+        with pytest.raises(ContractError):
+            evaluate_task(four_stream[1], _prefix(pool, 2), small_encoder, True, 100.0, state)
+        with pytest.raises(ContractError):
+            evaluate_task(four_stream[0], _prefix(pool, 2), small_encoder, False, 100.0, state)
+
+
 class TestZeroShotSweep:
     def test_matches_manual_count(self, small_stream, small_encoder):
         from resadapt.learner import zero_shot_infer
@@ -96,11 +186,31 @@ class TestZeroShotSweep:
             )
             assert acc == pytest.approx(manual, abs=1e-12)
 
+    @pytest.mark.parametrize("logit_scale", [0.0, -1.0])
+    def test_non_positive_logit_scale_rejected(self, small_stream, small_encoder, logit_scale):
+        with pytest.raises(ContractError):
+            zero_shot_sweep(small_stream, small_encoder, logit_scale)
+
 
 class TestAssignment:
     def test_learned_tasks_fully_separated(self, run, small_stream, small_encoder):
         _, pool = run
         assert assignment_accuracy(small_stream, pool, small_encoder) == 1.0
+
+    def test_matches_per_prefix_routing(self, four_run, four_stream, small_encoder):
+        # Prefix argmaxes over one score matrix per split equal routing each
+        # task's split through every prefix pool it belongs to.
+        _, pool = four_run
+        correct = total = 0
+        for i in range(len(pool)):
+            for j in range(i + 1):
+                task = four_stream[j]
+                _, routed, _ = infer_batch(
+                    task.test_ids, _prefix(pool, i + 1), task.class_templates, small_encoder
+                )
+                correct += int((routed == j).sum())
+                total += len(routed)
+        assert assignment_accuracy(four_stream, pool, small_encoder) == correct / total
 
 
 class TestManualWeightDial:

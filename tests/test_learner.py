@@ -14,6 +14,7 @@ from resadapt.backbone import (
     encode,
     logits,
 )
+from resadapt import learner
 from resadapt.bench.stream import StreamSpec, gen_stream
 from resadapt.errors import ConfigError, ContractError, ShapeError
 from resadapt.learner import (
@@ -23,15 +24,18 @@ from resadapt.learner import (
     PoolEntry,
     TaskPool,
     TrainConfig,
+    classify,
     cosine_lr,
     estimate_task_stats,
     infer,
     infer_batch,
+    route,
+    score_entries,
     train_task,
     zero_shot_infer,
 )
 from resadapt.numkernel import make_rng
-from resadapt.taskdist import fit_gaussian
+from resadapt.taskdist import calibration_weight_batch, fit_gaussian
 
 SMALL_CFG = TrainConfig(
     lr0=5.0, epochs=3, batch=16, prompt_len=4, adapter_depth=2, seed=0
@@ -57,6 +61,29 @@ def trained(small_stream, small_encoder):
         small_encoder,
         SMALL_CFG,
         make_rng(SMALL_CFG.seed, 7, task.index),
+    )
+    gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
+    entry = PoolEntry(
+        adapters=adapters,
+        gaussian=gaussian,
+        mean_key=mean_key,
+        class_templates=task.class_templates,
+    )
+    return task, entry
+
+
+@pytest.fixture(scope="module")
+def trained_prepend(small_stream, small_encoder):
+    """The first task trained as a prompt (prepend) entry."""
+    task = small_stream[0]
+    adapters = train_task(
+        task.train_ids,
+        task.train_labels,
+        task.class_templates,
+        small_encoder,
+        dataclasses.replace(SMALL_CFG, epochs=1),
+        make_rng(0, 7, 0),
+        mode=AdapterMode.parse("prepend"),
     )
     gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
     entry = PoolEntry(
@@ -405,6 +432,106 @@ class TestInferBatch:
             infer_batch(
                 task.test_ids[0], TaskPool(entries=[entry]), task.class_templates, small_encoder
             )
+
+
+class TestRouteAndClassify:
+    def test_templates_once_per_weight_match_per_sample_encoding(self, trained, small_encoder):
+        # classify encodes the templates once per distinct w; the features
+        # must equal, bit for bit, the per-(sample, class) tiled encoding.
+        task, entry = trained
+        template_ids = np.stack([c.token_ids() for c in task.class_templates])
+        adapters = entry.adapters.text_adapters
+        # Repeated weights spanning [0, 1], so decisions depend on which
+        # weight each sample's templates were encoded at.
+        ids = task.test_ids
+        m, k = len(ids), len(template_ids)
+        w = np.resize([0.0, 0.25, 0.5, 0.75, 1.0], m)
+        tiled = encode(
+            np.tile(template_ids, (m, 1)), small_encoder.text, adapters, np.repeat(w, k)
+        ).reshape(m, k, -1)
+        for s, ws in enumerate(w):
+            once = encode(template_ids, small_encoder.text, adapters, np.full(k, ws))
+            assert once.tobytes() == tiled[s].tobytes()
+        feats = encode(ids, small_encoder.image, entry.adapters.image_adapters, w)
+        expected = np.argmax(np.einsum("bd,bkd->bk", feats, tiled), axis=1)
+        pool = TaskPool(entries=[entry])
+        routed = np.zeros(m, dtype=np.int64)
+        got = classify(ids, routed, w, pool, task.class_templates, small_encoder)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", ["residual", "prepend"])
+    def test_classify_is_row_independent(self, trained, trained_prepend, small_encoder, kind):
+        # A row's decision must not depend on the other rows of its batch:
+        # incremental evaluation keeps decisions made on a whole group, while
+        # a fresh evaluation re-classifies whatever subset of it is still
+        # routed there, down to one row.
+        task, entry = trained if kind == "residual" else trained_prepend
+        pool = TaskPool(entries=[entry], kind=kind)
+        ids, classes = task.test_ids, task.class_templates
+        scores = score_entries(encode(ids, small_encoder.image), pool.entries)
+        task_idx, weights = route(scores, pool)
+        full = classify(ids, task_idx, weights, pool, classes, small_encoder)
+        sub = np.arange(0, len(ids), 3)
+        part = classify(ids[sub], task_idx[sub], weights[sub], pool, classes, small_encoder)
+        assert np.array_equal(part, full[sub])
+        for r in range(len(ids)):
+            one = classify(
+                ids[r : r + 1], task_idx[r : r + 1], weights[r : r + 1], pool, classes, small_encoder
+            )
+            assert one[0] == full[r]
+
+    @pytest.mark.parametrize("kind", ["residual", "prepend"])
+    def test_classify_ties_break_alike_in_any_batch(
+        self, trained, small_encoder, monkeypatch, kind
+    ):
+        # A palindromic feature scores a class embedding and its mirror image
+        # the same in exact arithmetic, so the argmax rests on the order in
+        # which the cosine product sums its terms. That order must not change
+        # with the batch size (2-D BLAS matmuls fail this: gemv for one row,
+        # gemm for more).
+        task, entry = trained
+        rng = np.random.default_rng(0)
+        half = rng.normal(size=(60, 16))
+        feats = np.concatenate([half, half[:, ::-1]], axis=1)
+        t = rng.normal(size=32)
+        text = np.stack([t, t[::-1]])
+
+        def fake_encode(ids, stack, adapters=None, w=1.0):
+            return feats[ids[:, 0]] if stack is small_encoder.image else text
+
+        monkeypatch.setattr(learner, "encode", fake_encode)
+        monkeypatch.setattr(learner, "class_embeddings", lambda *args, **kwargs: text)
+        pool = TaskPool(entries=[entry], kind=kind)
+        ids = np.arange(60)[:, None]
+        routed, w = np.zeros(60, dtype=np.int64), np.ones(60)
+        classes = task.class_templates[:2]
+        full = classify(ids, routed, w, pool, classes, small_encoder)
+        assert 0 < full.sum() < 60  # both tie-breaks occur
+        for r in range(60):
+            one = classify(ids[r : r + 1], routed[:1], w[:1], pool, classes, small_encoder)
+            assert one[0] == full[r]
+
+    def test_route_argmax_and_weights(self, trained):
+        # Ties go to the lowest index; w is the gate at the winning score,
+        # pinned to 1 without calibration and for prompt pools.
+        _, entry = trained
+        pool = TaskPool(entries=[entry, entry])
+        scores = np.zeros((6, 2))
+        scores[::2, 1] = 1.0
+        task_idx, weights = route(scores, pool)
+        assert np.array_equal(task_idx, [1, 0, 1, 0, 1, 0])
+        assert np.array_equal(weights, calibration_weight_batch(np.array([1.0, 0, 1, 0, 1, 0])))
+        _, pinned = route(scores, pool, calibrate=False)
+        assert np.all(pinned == 1.0)
+        _, pinned = route(scores, TaskPool(entries=[entry, entry], kind="prepend"))
+        assert np.all(pinned == 1.0)
+
+    def test_route_empty_pool_rejected(self, trained, small_encoder):
+        task, _ = trained
+        scores = score_entries(encode(task.test_ids, small_encoder.image), [])
+        assert scores.shape == (len(task.test_ids), 0)
+        with pytest.raises(ContractError):
+            route(scores, TaskPool())
 
 
 class TestPrepend:

@@ -158,6 +158,28 @@ class TestRejection:
 
         self._tamper(residual_pool, tmp_path, chop)
 
+    def test_missing_entries(self, residual_pool, tmp_path):
+        self._tamper(residual_pool, tmp_path, lambda d: d.pop("entries"))
+
+    def test_entry_missing_gaussian(self, residual_pool, tmp_path):
+        self._tamper(residual_pool, tmp_path, lambda d: d["entries"][0].pop("gaussian"))
+
+    def test_entries_not_a_list_of_objects(self, residual_pool, tmp_path):
+        self._tamper(residual_pool, tmp_path, lambda d: d.update(entries=[1]))
+
+    def test_covariance_not_positive_definite(self, residual_pool, tmp_path):
+        def zero(doc):
+            sigma = doc["entries"][0]["gaussian"]["sigma"]
+            sigma["data"] = [(0.0).hex()] * len(sigma["data"])
+
+        self._tamper(residual_pool, tmp_path, zero)
+
+    def test_document_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError):
+            load_pool(path)
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{]")

@@ -188,6 +188,32 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             load_stream(path)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.pop("tasks"),
+            lambda d: d.pop("spec"),
+            lambda d: d["spec"].update(bogus=1),
+            lambda d: d["tasks"][0].pop("test_ids"),
+            lambda d: d.update(tasks=[7]),
+        ],
+        ids=["no-tasks", "no-spec", "unknown-spec-key", "task-missing-field", "task-not-object"],
+    )
+    def test_rejects_malformed_body(self, tmp_path, mutate):
+        path = tmp_path / "stream.json"
+        save_stream(SMALL, gen_stream(SMALL), path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_stream(path)
+
+    def test_rejects_document_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError):
+            load_stream(path)
+
     def test_rejects_corrupt_json(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{not json")
