@@ -77,15 +77,6 @@ class DualEncoder:
     text: EncoderStack
 
 
-def build_encoder(vocab: int, d: int, depth: int, rng: np.random.Generator) -> EncoderStack:
-    """Random frozen encoder: embeddings N(0, 1), depth attention layers."""
-    if vocab < 1 or d < 1 or depth < 1:
-        raise ShapeError("vocab, d, and depth must be positive")
-    embed = rng.normal(0.0, 1.0, size=(vocab, d))
-    layers = tuple(random_frozen_attention(d, rng) for _ in range(depth))
-    return EncoderStack(embed=embed, layers=layers)
-
-
 def build_dual_encoder(vocab: int, d: int, depth: int, seed: int) -> DualEncoder:
     """Two towers over one shared embedding table.
 
@@ -141,7 +132,6 @@ def _check_ids(token_ids, vocab: int) -> np.ndarray:
 class EncodeCache:
     layer_caches: list  # one cache per layer, tagged by branch kind
     kinds: list[str]
-    pooled_raw: np.ndarray
     norms: np.ndarray
     feats: np.ndarray
 
@@ -181,9 +171,7 @@ def encode_with_cache(
     if np.any(norms == 0.0):
         raise ContractError("pooled feature has zero norm, cannot normalize")
     feats = pooled / norms
-    return feats, EncodeCache(
-        layer_caches=caches, kinds=kinds, pooled_raw=pooled, norms=norms, feats=feats
-    )
+    return feats, EncodeCache(layer_caches=caches, kinds=kinds, norms=norms, feats=feats)
 
 
 def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
@@ -246,21 +234,3 @@ def class_embeddings(
     ids = np.stack([c.token_ids() for c in classes])
     return encode(ids, stack, adapters, w)
 
-
-def logits(feature: np.ndarray, text_embs: np.ndarray, logit_scale: float = 100.0) -> np.ndarray:
-    """Scaled cosine logits of one feature row against (K, d) class embeddings.
-
-    Both sides must already be unit-norm (checked within 1e-9), so the dot
-    products are cosines and logit_scale is the only temperature.
-    """
-    feature = np.asarray(feature, dtype=np.float64)
-    text_embs = np.asarray(text_embs, dtype=np.float64)
-    if logit_scale <= 0.0:
-        raise ContractError("logit_scale must be positive")
-    if feature.ndim != 1 or text_embs.ndim != 2 or text_embs.shape[1] != feature.shape[0]:
-        raise ShapeError(f"incompatible shapes {feature.shape} and {text_embs.shape}")
-    if abs(float(np.linalg.norm(feature)) - 1.0) > 1e-9:
-        raise ContractError("feature is not unit norm")
-    if np.any(np.abs(np.linalg.norm(text_embs, axis=1) - 1.0) > 1e-9):
-        raise ContractError("class embeddings are not unit norm")
-    return logit_scale * (text_embs @ feature)

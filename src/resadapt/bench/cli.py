@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=Path, required=True)
     p.add_argument("--calibrate", choices=("on", "off"), default="on")
     p.add_argument("--mode", default="iki", help="iki | prepend | iki-ablation:B")
-    p.add_argument("--logit-scale", type=float, default=100.0)
     p.add_argument("--out", type=Path, required=True, help="directory for CSV output")
 
     p = sub.add_parser("run", help="generate, train, and evaluate end to end")
@@ -126,9 +125,7 @@ def _cmd_eval(args) -> int:
         )
     enc = enc_spec.build()
     calibrate = args.calibrate == "on"
-    accs = [
-        evaluate_task(task, pool, enc, calibrate, args.logit_scale) for task in stream
-    ]
+    accs = [evaluate_task(task, pool, enc, calibrate) for task in stream]
     write_eval_csv(accs, trained_task=len(pool) - 1, out_dir=args.out)
     for j, a in enumerate(accs):
         print(f"task {j}: accuracy {a:.6f}")

@@ -40,8 +40,11 @@ def evaluate_task(
 
     state carries the split's frozen features, scores and decisions from
     one checkpoint to the next (see InferState); without it the split is
-    evaluated from scratch through the same code.
+    evaluated from scratch through the same code. As in infer_batch, a
+    positive logit_scale cannot change a decision and any other is rejected.
     """
+    if not logit_scale > 0.0:
+        raise ContractError("logit_scale must be positive")
     if state is None:
         state = InferState()
     class_idx = state.infer(task.test_ids, pool, task.class_templates, enc, calibrate)
@@ -68,7 +71,7 @@ def run_continual(
     states = [InferState() for _ in stream]
     for i, task in enumerate(stream):
         # Statistics first, on the frozen encoder; training cannot bias them.
-        gaussian, mean_key = estimate_task_stats(task.train_ids, enc, cfg.ridge)
+        gaussian = estimate_task_stats(task.train_ids, enc, cfg.ridge)
         adapters = train_task(
             task.train_ids,
             task.train_labels,
@@ -78,14 +81,7 @@ def run_continual(
             make_rng(cfg.seed, 23, i),
             mode,
         )
-        pool.entries.append(
-            PoolEntry(
-                adapters=adapters,
-                gaussian=gaussian,
-                mean_key=mean_key,
-                class_templates=task.class_templates,
-            )
-        )
+        pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
         for j, other in enumerate(stream):
             matrix[i, j] = evaluate_task(other, pool, enc, calibrate, cfg.logit_scale, states[j])
     return matrix, pool
@@ -95,8 +91,9 @@ def zero_shot_sweep(
     stream: list[Task], enc: DualEncoder, logit_scale: float = 100.0
 ) -> list[float]:
     """Frozen-model accuracy per task (no pool, no adapters)."""
-    # The argmax ignores a positive scale; any other scale is an error, as in logits().
-    if logit_scale <= 0.0:
+    # The argmax ignores a positive scale; any other scale is an error, as in
+    # infer_batch.
+    if not logit_scale > 0.0:
         raise ContractError("logit_scale must be positive")
     out = []
     for task in stream:
@@ -130,7 +127,6 @@ def manual_weight_sweep(
     entry: PoolEntry,
     enc: DualEncoder,
     weights: list[float],
-    logit_scale: float = 100.0,
 ) -> dict[float, float]:
     """Accuracy on one task while the residual weight is pinned by hand.
 

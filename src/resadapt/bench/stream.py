@@ -27,10 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..backbone import TEMPLATE_PREFIX, ClassTemplate, DualEncoder, encode
+from ..backbone import TEMPLATE_PREFIX, ClassTemplate
 from ..errors import ConfigError
 from ..numkernel import make_rng
-from ..taskdist import fit_gaussian, log_density_batch
 
 TRAIN_FRACTION = 0.8
 
@@ -162,35 +161,6 @@ def gen_stream(spec: StreamSpec) -> list[Task]:
             )
         )
     return tasks
-
-
-def stream_separation_report(stream: list[Task], enc: DualEncoder, ridge: float = 1e-7) -> dict:
-    """Generator self-check on frozen features.
-
-    Fits one Gaussian per task on train features and reports the pairwise
-    distances between frozen cluster centers plus held-out (test split)
-    task-assignment accuracy.
-    """
-    gaussians, centers = [], []
-    for task in stream:
-        feats = encode(task.train_ids, enc.image)
-        gaussians.append(fit_gaussian(feats, ridge))
-        centers.append(feats.mean(axis=0))
-    centers = np.stack(centers)
-    n = len(stream)
-    dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-    correct = total = 0
-    for t, task in enumerate(stream):
-        feats = encode(task.test_ids, enc.image)
-        scores = np.stack([log_density_batch(g, feats) for g in gaussians], axis=1)
-        correct += int((np.argmax(scores, axis=1) == t).sum())
-        total += feats.shape[0]
-    off_diag = dists[~np.eye(n, dtype=bool)] if n > 1 else np.array([])
-    return {
-        "center_distances": dists,
-        "min_center_distance": float(off_diag.min()) if off_diag.size else 0.0,
-        "assignment_accuracy": correct / total,
-    }
 
 
 def save_stream(spec: StreamSpec, stream: list[Task], path: str | Path) -> None:

@@ -2,10 +2,11 @@
 
 Each incremental task trains one small attachment set (residual adapters,
 or prompts for the baseline) on the first layers of both frozen encoders,
-with plain SGD under a cosine learning-rate schedule. Task statistics
-(feature Gaussian + mean key) are computed with the fully frozen encoder
-BEFORE any adapters exist, so they never drift. A task's pool entry is
-immutable once stored: later training cannot touch it.
+with plain SGD under a cosine learning-rate schedule. A task's statistics
+(a Gaussian over its frozen features) are computed with the fully frozen
+encoder BEFORE any adapters exist, so they never drift. A task's pool entry
+(its attachments and its Gaussian) is immutable once stored: later training
+cannot touch it.
 """
 
 from __future__ import annotations
@@ -17,17 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .attention import Adapter, PromptBaseline, init_adapter, init_adapter_ablation
-from .backbone import ClassTemplate, DualEncoder, class_embeddings, encode, encode_backward, encode_with_cache, logits
+from .backbone import ClassTemplate, DualEncoder, class_embeddings, encode, encode_backward, encode_with_cache
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
 from .numkernel import softmax_rows
-from .taskdist import (
-    TaskGaussian,
-    calibration_weight,
-    calibration_weight_batch,
-    fit_gaussian,
-    log_density_batch,
-    select_task,
-)
+from .taskdist import TaskGaussian, calibration_weight_batch, fit_gaussian, log_density_batch
 
 MODE_RESIDUAL = "iki"
 MODE_PREPEND = "prepend"
@@ -103,8 +97,6 @@ class AdapterSet:
 class PoolEntry:
     adapters: AdapterSet
     gaussian: TaskGaussian
-    mean_key: np.ndarray
-    class_templates: tuple[ClassTemplate, ...]
 
 
 @dataclass
@@ -125,10 +117,8 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def estimate_task_stats(
-    train_ids: np.ndarray, enc: DualEncoder, ridge: float = 1e-7
-) -> tuple[TaskGaussian, np.ndarray]:
-    """Frozen-feature Gaussian and unit-norm mean key for one task.
+def estimate_task_stats(train_ids: np.ndarray, enc: DualEncoder, ridge: float = 1e-7) -> TaskGaussian:
+    """Frozen-feature Gaussian of one task.
 
     Uses the bare image encoder only: no adapters exist yet (and none are
     consulted), so the statistics describe the frozen representation that
@@ -137,12 +127,7 @@ def estimate_task_stats(
     feats = encode(train_ids, enc.image)
     if feats.ndim == 1:
         feats = feats[None, :]
-    gaussian = fit_gaussian(feats, ridge)
-    mean = feats.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        raise ContractError("mean feature has zero norm")
-    return gaussian, mean / norm
+    return fit_gaussian(feats, ridge)
 
 
 def _init_attachments(mode: AdapterMode, cfg: TrainConfig, d: int, rng: np.random.Generator) -> list:
@@ -239,62 +224,6 @@ def train_task(
     return AdapterSet(image_adapters=tuple(img_att), text_adapters=tuple(txt_att))
 
 
-@dataclass(frozen=True)
-class InferResult:
-    class_idx: int
-    task_idx: int
-    weight: float
-
-
-def zero_shot_infer(
-    token_ids,
-    candidate_classes: Sequence[ClassTemplate],
-    enc: DualEncoder,
-    logit_scale: float = 100.0,
-) -> int:
-    """Frozen-model prediction: no pool, no adapters, no calibration."""
-    feat = encode(token_ids, enc.image)
-    text = class_embeddings(candidate_classes, enc.text)
-    return int(np.argmax(logits(feat, text, logit_scale)))
-
-
-def infer(
-    token_ids,
-    pool: TaskPool,
-    candidate_classes: Sequence[ClassTemplate],
-    enc: DualEncoder,
-    calibrate: bool = True,
-    logit_scale: float = 100.0,
-    prescale: tuple[float, float] = (1.0, 0.0),
-    use_pool_classes: bool = False,
-) -> InferResult:
-    """Single-sample inference through the task pool.
-
-    The frozen feature picks the best task Gaussian; its score, through the
-    sigmoid, sets the weight w applied to the selected adapters on BOTH
-    encoders. With calibrate=False, w is pinned to 1. Candidates come from
-    the caller unless use_pool_classes=True, in which case the selected
-    task's own templates are used and class_idx indexes that list.
-    """
-    if len(pool) == 0:
-        raise ContractError("empty task pool")
-    frozen_feat = encode(token_ids, enc.image)
-    task_idx, s_hat = select_task([e.gaussian for e in pool.entries], frozen_feat)
-    entry = pool.entries[task_idx]
-    classes = entry.class_templates if use_pool_classes else candidate_classes
-    if pool.kind == "prepend":
-        # Prompts have no intensity knob: attached or not, nothing between.
-        w = 1.0
-        feat = encode(token_ids, enc.image, entry.adapters.image_adapters)
-        text = class_embeddings(classes, enc.text, entry.adapters.text_adapters)
-    else:
-        w = calibration_weight(s_hat, *prescale) if calibrate else 1.0
-        feat = encode(token_ids, enc.image, entry.adapters.image_adapters, w)
-        text = class_embeddings(classes, enc.text, entry.adapters.text_adapters, w)
-    class_idx = int(np.argmax(logits(feat, text, logit_scale)))
-    return InferResult(class_idx=class_idx, task_idx=task_idx, weight=w)
-
-
 def score_entries(frozen_feats: np.ndarray, entries: Sequence[PoolEntry]) -> np.ndarray:
     """(B, len(entries)) log density of each frozen feature row under each entry."""
     columns = [log_density_batch(e.gaussian, frozen_feats) for e in entries]
@@ -302,10 +231,7 @@ def score_entries(frozen_feats: np.ndarray, entries: Sequence[PoolEntry]) -> np.
 
 
 def route(
-    scores: np.ndarray,
-    pool: TaskPool,
-    calibrate: bool = True,
-    prescale: tuple[float, float] = (1.0, 0.0),
+    scores: np.ndarray, pool: TaskPool, calibrate: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Selected entry and residual weight for each row of (B, len(pool)) scores.
 
@@ -321,7 +247,7 @@ def route(
         # Prompts have no intensity knob; without calibration w is pinned.
         weights = np.ones(b)
     else:
-        weights = calibration_weight_batch(scores[np.arange(b), task_idx], *prescale)
+        weights = calibration_weight_batch(scores[np.arange(b), task_idx])
     return task_idx, weights
 
 
@@ -373,18 +299,24 @@ def infer_batch(
     enc: DualEncoder,
     calibrate: bool = True,
     logit_scale: float = 100.0,
-    prescale: tuple[float, float] = (1.0, 0.0),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized infer over (B, L) token ids; same decisions as infer().
+    """Pooled inference over (B, L) token ids.
 
-    Returns (class_idx, task_idx, weight) arrays: route() on the frozen
-    features, then classify() through the routed entries.
+    The frozen feature of each row picks the best task Gaussian; its score,
+    through the sigmoid, sets the weight w applied to the selected adapters
+    on BOTH encoders (w is pinned to 1 with calibrate=False and for prompt
+    pools). Returns (class_idx, task_idx, weight) arrays: route() on the
+    frozen features, then classify() through the routed entries. The
+    decision is an argmax of cosines, which a positive logit_scale cannot
+    change; any other scale is rejected.
     """
+    if not logit_scale > 0.0:
+        raise ContractError("logit_scale must be positive")
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ShapeError("infer_batch expects (B, L) token ids")
     scores = score_entries(encode(ids, enc.image), pool.entries)
-    task_idx, weights = route(scores, pool, calibrate, prescale)
+    task_idx, weights = route(scores, pool, calibrate)
     class_idx = classify(ids, task_idx, weights, pool, candidate_classes, enc)
     return class_idx, task_idx, weights
 

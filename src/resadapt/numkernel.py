@@ -1,9 +1,10 @@
 """Deterministic float64 kernels.
 
-Everything downstream funnels its numerics through here: dense matmul,
-row-wise softmax and its Jacobian, cross-entropy, Cholesky solves with
-log-determinants, a central-difference gradient oracle, and seeded RNG
-construction. Matrices are plain 2-D float64 numpy arrays (row-major).
+Everything downstream funnels its numerics through here: validating
+matrix and vector constructors, row-wise softmax and its backward,
+Cholesky factors, solves and log-determinants, a central-difference
+gradient oracle, and seeded RNG construction. Matrices are plain 2-D
+float64 numpy arrays (row-major).
 
 Randomness: all streams come from numpy's PCG64 counter generator seeded
 through SeedSequence, so identical seeds give bit-identical draws and
@@ -66,17 +67,6 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Matrix product of two 2-D float64 arrays with shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
@@ -92,45 +82,14 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_row_jacobian(a: np.ndarray) -> Mat:
-    """Jacobian of softmax at an already-softmaxed row a.
-
-    J[s, t] = a_s (1 - a_s) for s == t and -a_s a_t otherwise, i.e.
-    diag(a) - outer(a, a). The input must be a probability row: entries
-    non-negative and summing to 1 within 1e-9.
-    """
-    a = vec(a)
-    if np.any(a < 0.0) or abs(float(a.sum()) - 1.0) > 1e-9:
-        raise ContractError("input is not a normalized probability row")
-    return np.diag(a) - np.outer(a, a)
-
-
 def softmax_backward(a: np.ndarray, d_a: np.ndarray) -> np.ndarray:
     """Apply the softmax Jacobian row-wise: returns J(a_row) @ d_a_row.
 
-    Equivalent to stacking softmax_row_jacobian products but vectorized
-    over leading axes.
+    J(a) = diag(a) - outer(a, a) is symmetric, so this is also the
+    vector-Jacobian product; vectorized over leading axes.
     """
     inner = (a * d_a).sum(axis=-1, keepdims=True)
     return a * (d_a - inner)
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stable cross-entropy of one logit row against an integer label.
-
-    Returns (loss, gradient) where gradient = softmax(logits) - onehot.
-    Uses the log-sum-exp trick so logits around +-700 are fine.
-    """
-    z = vec(logits)
-    n = z.shape[0]
-    if not (0 <= label < n):
-        raise IndexError(f"label {label} out of range for {n} logits")
-    m = float(z.max())
-    lse = m + float(np.log(np.exp(z - m).sum()))
-    loss = lse - float(z[label])
-    grad = softmax_rows(z[None, :])[0]
-    grad[label] -= 1.0
-    return loss, grad
 
 
 def cholesky_factor(s: Mat) -> Mat:
@@ -159,15 +118,6 @@ def cholesky_solve(lower: Mat, b: np.ndarray) -> np.ndarray:
 def cholesky_logdet(lower: Mat) -> float:
     """log det(L L^T) = 2 sum log diag(L)."""
     return 2.0 * float(np.log(np.diag(lower)).sum())
-
-
-def cholesky_solve_logdet(s: Mat, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve S x = v for SPD S and return (x, log det S) in one factorization."""
-    lower = cholesky_factor(s)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != lower.shape[0]:
-        raise ShapeError(f"rhs length {v.shape[0]} does not match order {lower.shape[0]}")
-    return cholesky_solve(lower, v), cholesky_logdet(lower)
 
 
 def finite_diff_grad(

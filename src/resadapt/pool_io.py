@@ -1,38 +1,41 @@
 """Versioned task-pool files.
 
-JSON container, format name "resadapt-pool", version 1. Every float64 is
+JSON container, format name "resadapt-pool", version 2. Every float64 is
 stored as its C99 hex literal (float.hex / float.fromhex), which round-trips
 bit-exactly through text. Shapes are explicit so a loader never guesses.
 
 Layout:
-  {"format": "resadapt-pool", "version": 1, "kind": "residual"|"prepend",
+  {"format": "resadapt-pool", "version": 2, "kind": "residual"|"prepend",
    "encoder": {"vocab": V, "embed_dim": d, "depth": D, "seed": S},
    "entries": [
      {"image_adapters": [att...], "text_adapters": [att...],
-      "gaussian": {"mu": vec, "sigma": mtx, "ridge": hex, "logdet": hex},
-      "mean_key": vec,
-      "class_templates": [{"prefix": [int x3], "class_token": int}...]}]}
+      "gaussian": {"mu": vec, "sigma": mtx, "ridge": hex}}]}
 where mtx = {"rows": r, "cols": c, "data": [hex...]} (row-major),
 vec = {"len": n, "data": [hex...]}, and att is {"k_r": mtx, "v_r": mtx}
 for residual adapters or {"p": mtx} for prompts.
+
+A Gaussian's Cholesky factor and log-determinant are not stored: the loader
+recomputes both from sigma. Every stored value must be finite and the ridge
+positive. Version 1 files are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .attention import Adapter, PromptBaseline
-from .backbone import ClassTemplate, EncoderSpec
-from .errors import ConfigError, SingularityError
+from .backbone import EncoderSpec
+from .errors import ConfigError, ContractError, ShapeError, SingularityError
 from .learner import AdapterSet, PoolEntry, TaskPool
 from .taskdist import TaskGaussian
-from .numkernel import cholesky_factor
+from .numkernel import cholesky_factor, cholesky_logdet, mat, vec
 
 FORMAT_NAME = "resadapt-pool"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _enc_mtx(a: np.ndarray) -> dict:
@@ -48,7 +51,7 @@ def _dec_mtx(obj: dict) -> np.ndarray:
     data = np.array([float.fromhex(s) for s in obj["data"]], dtype=np.float64)
     if data.size != rows * cols:
         raise ConfigError(f"matrix payload has {data.size} values for {rows}x{cols}")
-    return data.reshape(rows, cols)
+    return mat(data.reshape(rows, cols))
 
 
 def _enc_vec(a: np.ndarray) -> dict:
@@ -56,7 +59,7 @@ def _enc_vec(a: np.ndarray) -> dict:
 
 
 def _dec_vec(obj: dict) -> np.ndarray:
-    data = np.array([float.fromhex(s) for s in obj["data"]], dtype=np.float64)
+    data = vec([float.fromhex(s) for s in obj["data"]])
     if data.size != int(obj["len"]):
         raise ConfigError("vector payload length mismatch")
     return data
@@ -87,13 +90,7 @@ def save_pool(pool: TaskPool, path: str | Path, encoder: EncoderSpec) -> None:
                     "mu": _enc_vec(e.gaussian.mu),
                     "sigma": _enc_mtx(e.gaussian.sigma),
                     "ridge": float(e.gaussian.ridge).hex(),
-                    "logdet": float(e.gaussian.logdet).hex(),
                 },
-                "mean_key": _enc_vec(e.mean_key),
-                "class_templates": [
-                    {"prefix": list(c.prefix), "class_token": int(c.class_token)}
-                    for c in e.class_templates
-                ],
             }
         )
     doc = {
@@ -120,8 +117,23 @@ def load_pool(path: str | Path) -> tuple[TaskPool, EncoderSpec]:
         return _decode_pool(doc, path)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, SingularityError) as exc:
+    except (
+        KeyError, TypeError, ValueError, ContractError, ShapeError, SingularityError
+    ) as exc:
         raise ConfigError(f"malformed pool file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode_gaussian(g: dict) -> TaskGaussian:
+    sigma = _dec_mtx(g["sigma"])
+    ridge = float.fromhex(g["ridge"])
+    if not 0.0 < ridge < math.inf:
+        raise ContractError(f"ridge must be finite and positive, got {ridge}")
+    # The Cholesky factor and log-determinant are derived from sigma, whose
+    # stored reals round-trip bit-exactly.
+    chol = cholesky_factor(sigma)
+    return TaskGaussian(
+        mu=_dec_vec(g["mu"]), sigma=sigma, ridge=ridge, chol=chol, logdet=cholesky_logdet(chol)
+    )
 
 
 def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
@@ -140,33 +152,14 @@ def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
         depth=int(enc_doc["depth"]),
         seed=int(enc_doc["seed"]),
     )
-    entries = []
-    for e in doc["entries"]:
-        g = e["gaussian"]
-        sigma = _dec_mtx(g["sigma"])
-        # The Cholesky cache is recomputed from sigma; stored reals are the
-        # source of truth and round-trip bit-exactly.
-        chol = cholesky_factor(sigma)
-        gaussian = TaskGaussian(
-            mu=_dec_vec(g["mu"]),
-            sigma=sigma,
-            ridge=float.fromhex(g["ridge"]),
-            chol=chol,
-            logdet=float.fromhex(g["logdet"]),
+    entries = [
+        PoolEntry(
+            adapters=AdapterSet(
+                image_adapters=tuple(_dec_attachment(a) for a in e["image_adapters"]),
+                text_adapters=tuple(_dec_attachment(a) for a in e["text_adapters"]),
+            ),
+            gaussian=_decode_gaussian(e["gaussian"]),
         )
-        templates = tuple(
-            ClassTemplate(prefix=tuple(c["prefix"]), class_token=int(c["class_token"]))
-            for c in e["class_templates"]
-        )
-        entries.append(
-            PoolEntry(
-                adapters=AdapterSet(
-                    image_adapters=tuple(_dec_attachment(a) for a in e["image_adapters"]),
-                    text_adapters=tuple(_dec_attachment(a) for a in e["text_adapters"]),
-                ),
-                gaussian=gaussian,
-                mean_key=_dec_vec(e["mean_key"]),
-                class_templates=templates,
-            )
-        )
+        for e in doc["entries"]
+    ]
     return TaskPool(entries=entries, kind=doc["kind"]), encoder

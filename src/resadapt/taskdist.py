@@ -5,25 +5,17 @@ covariance with a ridge on the diagonal). At inference the best-scoring
 Gaussian picks the task and its log density, squashed through a sigmoid,
 decides how strongly that task's adapters are applied: confident matches
 get w near 1, samples far from every task get w near 0 and fall back to
-the frozen model.
+the frozen model. Both operations work on batches of rows; a single row is
+a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ContractError, ShapeError, SingularityError
-from .numkernel import (
-    LOG_2PI,
-    cholesky_factor,
-    cholesky_logdet,
-    cholesky_solve,
-    mat,
-    vec,
-)
+from .numkernel import LOG_2PI, cholesky_factor, cholesky_logdet, cholesky_solve, mat
 
 RIDGE_MAX = 1e-3
 
@@ -77,18 +69,11 @@ def fit_gaussian(features: np.ndarray, ridge: float = 1e-7) -> TaskGaussian:
             r = min(r * 10.0, RIDGE_MAX)
 
 
-def log_density(g: TaskGaussian, x: np.ndarray) -> float:
-    """Gaussian log density -0.5 [(x-mu)^T Sigma^-1 (x-mu) + d log 2pi + log|Sigma|]."""
-    x = vec(x)
-    if x.shape[0] != g.d:
-        raise ShapeError(f"feature width {x.shape[0]} does not match model width {g.d}")
-    diff = x - g.mu
-    maha = float(diff @ cholesky_solve(g.chol, diff))
-    return -0.5 * (maha + g.d * LOG_2PI + g.logdet)
-
-
 def log_density_batch(g: TaskGaussian, x: np.ndarray) -> np.ndarray:
-    """log_density for every row of (B, d); matches the scalar op exactly."""
+    """Gaussian log density of every row of (B, d).
+
+    -0.5 [(x-mu)^T Sigma^-1 (x-mu) + d log 2pi + log|Sigma|] per row.
+    """
     x = mat(x)
     if x.shape[1] != g.d:
         raise ShapeError(f"feature width {x.shape[1]} does not match model width {g.d}")
@@ -98,54 +83,14 @@ def log_density_batch(g: TaskGaussian, x: np.ndarray) -> np.ndarray:
     return -0.5 * (maha + g.d * LOG_2PI + g.logdet)
 
 
-def select_task(gaussians: Sequence[TaskGaussian], x: np.ndarray) -> tuple[int, float]:
-    """Index and score of the best-scoring Gaussian; ties go to the lowest index."""
-    if len(gaussians) == 0:
-        raise ContractError("empty model list")
-    scores = np.array([log_density(g, x) for g in gaussians])
-    idx = int(np.argmax(scores))
-    return idx, float(scores[idx])
-
-
-def calibration_weight(s_hat: float, prescale_a: float = 1.0, prescale_b: float = 0.0) -> float:
-    """Sigmoid of the (optionally affine-rescaled) selection score.
+def calibration_weight_batch(s_hat: np.ndarray) -> np.ndarray:
+    """Sigmoid of each selection score.
 
     Stable for any magnitude of s_hat. The mathematical value lies in the
     open interval (0, 1); where the float64 sigmoid would saturate, the
     result is pinned to the nearest representable neighbor of 0 or 1 so the
     open-interval contract survives rounding.
     """
-    z = prescale_a * float(s_hat) + prescale_b
-    if z >= 0.0:
-        w = 1.0 / (1.0 + np.exp(-z))
-    else:
-        e = np.exp(z)
-        w = e / (1.0 + e)
-    lo = np.nextafter(0.0, 1.0)
-    hi = np.nextafter(1.0, 0.0)
-    return float(min(max(w, lo), hi))
-
-
-def calibration_weight_batch(
-    s_hat: np.ndarray, prescale_a: float = 1.0, prescale_b: float = 0.0
-) -> np.ndarray:
-    z = prescale_a * np.asarray(s_hat, dtype=np.float64) + prescale_b
+    z = np.asarray(s_hat, dtype=np.float64)
     w = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
     return np.clip(w, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-
-
-def key_match(keys: np.ndarray, x: np.ndarray) -> int:
-    """Nearest key by cosine: argmax of keys @ x over unit-norm rows.
-
-    The query-to-key matching used by prompt-pool style baselines; kept for
-    comparison against Gaussian selection. Ties go to the lowest index.
-    """
-    keys = mat(keys)
-    x = vec(x)
-    if keys.shape[1] != x.shape[0]:
-        raise ShapeError(f"key width {keys.shape[1]} does not match query {x.shape[0]}")
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-9:
-        raise ContractError("query is not unit norm")
-    if np.any(np.abs(np.linalg.norm(keys, axis=1) - 1.0) > 1e-9):
-        raise ContractError("keys are not unit norm")
-    return int(np.argmax(keys @ x))

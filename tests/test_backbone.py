@@ -1,4 +1,4 @@
-"""Dual-encoder contracts: determinism, unit norms, pass-through, logits."""
+"""Dual-encoder contracts: determinism, unit norms, pass-through."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from resadapt.backbone import (
     encode,
     encode_with_cache,
     encode_backward,
-    logits,
 )
 from resadapt.errors import ContractError
 from resadapt.numkernel import finite_diff_grad, make_rng
@@ -102,33 +101,6 @@ def test_class_embeddings_rows_and_permutation(small_encoder):
 def test_class_embeddings_single_class(small_encoder):
     rows = class_embeddings([ClassTemplate(TEMPLATE_PREFIX, 9)], small_encoder.text)
     assert rows.shape == (1, 8)
-
-
-def test_logits_identity_and_orthogonal_rows():
-    f = np.zeros(4)
-    f[0] = 1.0
-    text = np.eye(4)[:2]
-    out = logits(f, text, 1.0)
-    assert abs(out[0] - 1.0) < 1e-15
-    assert abs(out[1]) < 1e-15
-    assert int(np.argmax(out)) == 0
-
-
-def test_logits_scale_never_changes_argmax():
-    rng = make_rng(5)
-    f = rng.normal(size=6)
-    f /= np.linalg.norm(f)
-    text = rng.normal(size=(4, 6))
-    text /= np.linalg.norm(text, axis=1, keepdims=True)
-    picks = {int(np.argmax(logits(f, text, s))) for s in (0.01, 1.0, 100.0, 1e4)}
-    assert len(picks) == 1
-
-
-def test_logits_rejects_non_unit_inputs():
-    with pytest.raises(ContractError):
-        logits(np.array([2.0, 0.0]), np.eye(2), 1.0)
-    with pytest.raises(ContractError):
-        logits(np.array([1.0, 0.0]), 2.0 * np.eye(2), 1.0)
 
 
 def test_encoder_spec_validation():

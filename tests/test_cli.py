@@ -159,6 +159,44 @@ class TestEval:
         err = capsys.readouterr().err
         assert "entries" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "where,value", [(("gaussian", "mu"), "nan"), (("image_adapters", 0, "v_r"), "inf")]
+    )
+    def test_non_finite_pool_value_exits_2(
+        self, tmp_path, stream_dir, pool_file, capsys, where, value
+    ):
+        doc = json.loads(pool_file.read_text())
+        obj = doc["entries"][0]
+        for key in where:
+            obj = obj[key]
+        obj["data"][0] = value
+        bad = tmp_path / "poisoned.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--pool", str(bad), "--tasks", str(stream_dir),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "poisoned.json" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_version_1_pool_exits_2(self, tmp_path, stream_dir, pool_file, capsys):
+        doc = json.loads(pool_file.read_text())
+        doc["version"] = 1
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        code = main(["eval", "--pool", str(old), "--tasks", str(stream_dir),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unsupported pool version 1" in err and len(err.strip().splitlines()) == 1
+
+    def test_logit_scale_flag_rejected(self, tmp_path, stream_dir, pool_file):
+        # The decision is an argmax of cosines, which no scale changes.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pool", str(pool_file), "--tasks", str(stream_dir),
+                  "--logit-scale", "-5", "--out", str(tmp_path / "e")])
+        assert exc.value.code == 2
+
     def test_stream_without_tasks_exits_2(self, tmp_path, stream_dir, pool_file, capsys):
         doc = json.loads((stream_dir / "stream.json").read_text())
         del doc["tasks"]

@@ -12,6 +12,7 @@ from resadapt.bench.continual import (
 )
 from resadapt.bench.stream import StreamSpec, gen_stream
 from resadapt.errors import ConfigError, ContractError
+from resadapt.backbone import class_embeddings, encode
 from resadapt.learner import InferState, TaskPool, TrainConfig, infer_batch
 
 CFG = TrainConfig(lr0=5.0, epochs=2, batch=16, prompt_len=4, adapter_depth=2, seed=0)
@@ -66,6 +67,13 @@ class TestRunContinual:
         matrix, _ = run
         again, _ = run_continual(small_stream, small_encoder, CFG)
         assert matrix.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("logit_scale", [0.0, -1.0, float("nan")])
+    def test_evaluate_rejects_non_positive_logit_scale(self, run, small_stream, small_encoder, logit_scale):
+        # A positive scale cannot change an argmax; any other is an error.
+        _, pool = run
+        with pytest.raises(ContractError):
+            evaluate_task(small_stream[0], pool, small_encoder, True, logit_scale)
 
     def test_empty_stream_rejected(self, small_encoder):
         with pytest.raises(ConfigError):
@@ -173,20 +181,19 @@ class TestCachedEvaluation:
 
 class TestZeroShotSweep:
     def test_matches_manual_count(self, small_stream, small_encoder):
-        from resadapt.learner import zero_shot_infer
-
         sweep = zero_shot_sweep(small_stream, small_encoder)
         assert len(sweep) == len(small_stream)
         for task, acc in zip(small_stream, sweep):
+            text = class_embeddings(task.class_templates, small_encoder.text)
             manual = np.mean(
                 [
-                    zero_shot_infer(row, task.class_templates, small_encoder) == lab
+                    np.argmax(text @ encode(row, small_encoder.image)) == lab
                     for row, lab in zip(task.test_ids, task.test_labels)
                 ]
             )
             assert acc == pytest.approx(manual, abs=1e-12)
 
-    @pytest.mark.parametrize("logit_scale", [0.0, -1.0])
+    @pytest.mark.parametrize("logit_scale", [0.0, -1.0, float("nan")])
     def test_non_positive_logit_scale_rejected(self, small_stream, small_encoder, logit_scale):
         with pytest.raises(ContractError):
             zero_shot_sweep(small_stream, small_encoder, logit_scale)

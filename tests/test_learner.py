@@ -12,7 +12,6 @@ from resadapt.backbone import (
     EncoderSpec,
     class_embeddings,
     encode,
-    logits,
 )
 from resadapt import learner
 from resadapt.bench.stream import StreamSpec, gen_stream
@@ -20,26 +19,61 @@ from resadapt.errors import ConfigError, ContractError, ShapeError
 from resadapt.learner import (
     AdapterMode,
     AdapterSet,
-    InferResult,
     PoolEntry,
     TaskPool,
     TrainConfig,
     classify,
     cosine_lr,
     estimate_task_stats,
-    infer,
     infer_batch,
     route,
     score_entries,
     train_task,
-    zero_shot_infer,
 )
 from resadapt.numkernel import make_rng
-from resadapt.taskdist import calibration_weight_batch, fit_gaussian
+from resadapt.taskdist import calibration_weight_batch, fit_gaussian, log_density_batch
 
 SMALL_CFG = TrainConfig(
     lr0=5.0, epochs=3, batch=16, prompt_len=4, adapter_depth=2, seed=0
 )
+
+
+def _zero_shot(rows, classes, enc) -> np.ndarray:
+    """Frozen-model oracle, one row at a time: no pool, no adapters."""
+    text = class_embeddings(classes, enc.text)
+    return np.array([int(np.argmax(text @ encode(row, enc.image))) for row in rows])
+
+
+def _infer_rows(rows, pool, classes, enc, calibrate=True):
+    """Pooled-inference oracle, one row at a time.
+
+    The best-scoring Gaussian picks the entry; its sigmoid sets w (pinned to
+    1 without calibration and for prompt pools); the entry's attachments at
+    w classify the row.
+    """
+    out = []
+    for row in rows:
+        frozen = encode(row, enc.image)[None, :]
+        scores = [float(log_density_batch(e.gaussian, frozen)[0]) for e in pool.entries]
+        t = int(np.argmax(scores))
+        entry = pool.entries[t]
+        w = 1.0
+        if pool.kind == "residual" and calibrate:
+            w = float(calibration_weight_batch(np.array([scores[t]]))[0])
+        if pool.kind == "prepend":
+            feat = encode(row, enc.image, entry.adapters.image_adapters)
+            text = class_embeddings(classes, enc.text, entry.adapters.text_adapters)
+        else:
+            feat = encode(row, enc.image, entry.adapters.image_adapters, w)
+            text = class_embeddings(classes, enc.text, entry.adapters.text_adapters, w)
+        out.append((int(np.argmax(text @ feat)), t, w))
+    return out
+
+
+def _infer_one(ids, r, pool, classes, enc, calibrate=True):
+    """infer_batch on the one-row slice r of ids, as scalars."""
+    cls, tsk, wts = infer_batch(ids[r : r + 1], pool, classes, enc, calibrate)
+    return int(cls[0]), int(tsk[0]), float(wts[0])
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +96,7 @@ def trained(small_stream, small_encoder):
         SMALL_CFG,
         make_rng(SMALL_CFG.seed, 7, task.index),
     )
-    gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-    entry = PoolEntry(
-        adapters=adapters,
-        gaussian=gaussian,
-        mean_key=mean_key,
-        class_templates=task.class_templates,
-    )
+    entry = PoolEntry(adapters=adapters, gaussian=estimate_task_stats(task.train_ids, small_encoder))
     return task, entry
 
 
@@ -85,13 +113,7 @@ def trained_prepend(small_stream, small_encoder):
         make_rng(0, 7, 0),
         mode=AdapterMode.parse("prepend"),
     )
-    gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-    entry = PoolEntry(
-        adapters=adapters,
-        gaussian=gaussian,
-        mean_key=mean_key,
-        class_templates=task.class_templates,
-    )
+    entry = PoolEntry(adapters=adapters, gaussian=estimate_task_stats(task.train_ids, small_encoder))
     return task, entry
 
 
@@ -235,14 +257,9 @@ class TestTrainTask:
         feats = encode(
             task.train_ids, small_encoder.image, entry.adapters.image_adapters, 1.0
         )
-        pred = np.array([np.argmax(logits(f, text)) for f in feats])
+        pred = np.array([np.argmax(text @ f) for f in feats])
         acc = float(np.mean(pred == task.train_labels))
-        zs = np.mean(
-            [
-                zero_shot_infer(row, task.class_templates, small_encoder) == lab
-                for row, lab in zip(task.train_ids, task.train_labels)
-            ]
-        )
+        zs = np.mean(_zero_shot(task.train_ids, task.class_templates, small_encoder) == task.train_labels)
         assert acc >= zs
 
     def test_label_shape_rejected(self, small_stream, small_encoder):
@@ -289,18 +306,11 @@ class TestTaskStats:
     def test_matches_direct_gaussian_fit(self, small_stream, small_encoder):
         # Dual route: estimate_task_stats vs encoding + fit_gaussian by hand.
         task = small_stream[0]
-        gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
+        gaussian = estimate_task_stats(task.train_ids, small_encoder)
         feats = encode(task.train_ids, small_encoder.image)
         direct = fit_gaussian(feats, 1e-7)
         np.testing.assert_array_equal(gaussian.mu, direct.mu)
         np.testing.assert_array_equal(gaussian.sigma, direct.sigma)
-        mean = feats.mean(axis=0)
-        np.testing.assert_allclose(mean_key, mean / np.linalg.norm(mean), atol=1e-15)
-
-    def test_mean_key_unit_norm(self, small_stream, small_encoder):
-        for task in small_stream:
-            _, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-            assert np.linalg.norm(mean_key) == pytest.approx(1.0, abs=1e-12)
 
     def test_adapters_do_not_leak_into_stats(self, trained, small_encoder):
         # Statistics describe the frozen representation only, so they are
@@ -308,29 +318,30 @@ class TestTaskStats:
         task, _ = trained
         before = estimate_task_stats(task.train_ids, small_encoder)
         after = estimate_task_stats(task.train_ids, small_encoder)
-        np.testing.assert_array_equal(before[0].mu, after[0].mu)
+        np.testing.assert_array_equal(before.mu, after.mu)
 
 
 class TestInfer:
+    # Single samples go through infer_batch as one-row slices.
     def test_empty_pool_rejected(self, trained, small_encoder):
         task, _ = trained
         with pytest.raises(ContractError):
-            infer(task.test_ids[0], TaskPool(), task.class_templates, small_encoder)
+            infer_batch(task.test_ids[:1], TaskPool(), task.class_templates, small_encoder)
 
     def test_calibrate_off_pins_unit_weight(self, trained, small_encoder):
         task, entry = trained
         pool = TaskPool(entries=[entry])
-        res = infer(
-            task.test_ids[0], pool, task.class_templates, small_encoder, calibrate=False
+        _, _, w = _infer_one(
+            task.test_ids, 0, pool, task.class_templates, small_encoder, calibrate=False
         )
-        assert res.weight == 1.0
+        assert w == 1.0
 
     def test_own_task_selected_with_high_weight(self, trained, small_encoder):
         task, entry = trained
         pool = TaskPool(entries=[entry])
-        res = infer(task.test_ids[0], pool, task.class_templates, small_encoder)
-        assert res.task_idx == 0
-        assert res.weight > 0.5
+        _, t, w = _infer_one(task.test_ids, 0, pool, task.class_templates, small_encoder)
+        assert t == 0
+        assert w > 0.5
 
     def test_foreign_sample_gated_to_zero_shot(self, small_stream, trained, small_encoder):
         # A sample from the other task scores far below the stored Gaussian,
@@ -338,21 +349,11 @@ class TestInfer:
         task0, entry = trained
         pool = TaskPool(entries=[entry])
         foreign = small_stream[1]
-        for row in foreign.test_ids[:10]:
-            res = infer(row, pool, foreign.class_templates, small_encoder)
-            assert res.weight < 1e-3
-            assert res.class_idx == zero_shot_infer(
-                row, foreign.class_templates, small_encoder
-            )
-
-    def test_use_pool_classes_matches_explicit_candidates(self, trained, small_encoder):
-        task, entry = trained
-        pool = TaskPool(entries=[entry])
-        row = task.test_ids[0]
-        via_flag = infer(row, pool, [], small_encoder, use_pool_classes=True)
-        explicit = infer(row, pool, entry.class_templates, small_encoder)
-        assert via_flag.class_idx == explicit.class_idx
-        assert via_flag.weight == explicit.weight
+        zs = _zero_shot(foreign.test_ids[:10], foreign.class_templates, small_encoder)
+        for r in range(len(zs)):
+            c, _, w = _infer_one(foreign.test_ids, r, pool, foreign.class_templates, small_encoder)
+            assert w < 1e-3
+            assert c == zs[r]
 
     def test_fresh_pool_equals_zero_shot(self, small_stream, small_encoder):
         # A zero-epoch entry is an exact identity, so pooled inference with
@@ -367,36 +368,29 @@ class TestInfer:
             cfg,
             make_rng(0, 7, 0),
         )
-        gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-        pool = TaskPool(
-            entries=[
-                PoolEntry(
-                    adapters=adapters,
-                    gaussian=gaussian,
-                    mean_key=mean_key,
-                    class_templates=task.class_templates,
-                )
-            ]
-        )
-        for row in task.test_ids[:10]:
-            res = infer(row, pool, task.class_templates, small_encoder, calibrate=False)
-            assert res.class_idx == zero_shot_infer(
-                row, task.class_templates, small_encoder
+        gaussian = estimate_task_stats(task.train_ids, small_encoder)
+        pool = TaskPool(entries=[PoolEntry(adapters=adapters, gaussian=gaussian)])
+        zs = _zero_shot(task.test_ids[:10], task.class_templates, small_encoder)
+        for r in range(len(zs)):
+            c, _, _ = _infer_one(
+                task.test_ids, r, pool, task.class_templates, small_encoder, calibrate=False
             )
+            assert c == zs[r]
 
     def test_infer_result_fields(self, trained, small_encoder):
         task, entry = trained
-        res = infer(task.test_ids[0], TaskPool(entries=[entry]), task.class_templates, small_encoder)
-        assert isinstance(res, InferResult)
-        assert 0 <= res.class_idx < len(task.class_templates)
-        assert res.task_idx == 0
-        assert 0.0 < res.weight < 1.0
+        pool = TaskPool(entries=[entry])
+        cls, tsk, wts = infer_batch(task.test_ids[:1], pool, task.class_templates, small_encoder)
+        assert cls.shape == tsk.shape == wts.shape == (1,)
+        assert 0 <= cls[0] < len(task.class_templates)
+        assert tsk[0] == 0
+        assert 0.0 < wts[0] < 1.0
 
 
 class TestInferBatch:
     def test_matches_per_sample_loop(self, small_stream, small_encoder):
-        # Two-task pool, mixed batch from both tasks; batched and looped
-        # paths must agree on every decision.
+        # Two-task pool, mixed batch from both tasks; the batch, its one-row
+        # slices and the per-row oracle must agree on every decision.
         pool = TaskPool()
         cfg = dataclasses.replace(SMALL_CFG, epochs=2)
         for task in small_stream:
@@ -408,29 +402,32 @@ class TestInferBatch:
                 cfg,
                 make_rng(cfg.seed, 7, task.index),
             )
-            gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-            pool.entries.append(
-                PoolEntry(
-                    adapters=adapters,
-                    gaussian=gaussian,
-                    mean_key=mean_key,
-                    class_templates=task.class_templates,
-                )
-            )
+            gaussian = estimate_task_stats(task.train_ids, small_encoder)
+            pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
         candidates = small_stream[0].class_templates + small_stream[1].class_templates
         ids = np.vstack([small_stream[0].test_ids[:6], small_stream[1].test_ids[:6]])
         cls, tsk, wts = infer_batch(ids, pool, candidates, small_encoder)
-        for i, row in enumerate(ids):
-            res = infer(row, pool, candidates, small_encoder)
-            assert cls[i] == res.class_idx
-            assert tsk[i] == res.task_idx
-            assert wts[i] == pytest.approx(res.weight, abs=1e-12)
+        oracle = _infer_rows(ids, pool, candidates, small_encoder)
+        for i, (c, t, w) in enumerate(oracle):
+            assert cls[i] == c
+            assert tsk[i] == t
+            assert wts[i] == pytest.approx(w, abs=1e-12)
+            assert _infer_one(ids, i, pool, candidates, small_encoder) == (cls[i], tsk[i], wts[i])
 
     def test_rejects_non_2d(self, trained, small_encoder):
         task, entry = trained
         with pytest.raises(ShapeError):
             infer_batch(
                 task.test_ids[0], TaskPool(entries=[entry]), task.class_templates, small_encoder
+            )
+
+    @pytest.mark.parametrize("logit_scale", [0.0, -1.0, float("nan")])
+    def test_non_positive_logit_scale_rejected(self, trained, small_encoder, logit_scale):
+        task, entry = trained
+        with pytest.raises(ContractError):
+            infer_batch(
+                task.test_ids, TaskPool(entries=[entry]), task.class_templates, small_encoder,
+                True, logit_scale,
             )
 
 
@@ -547,30 +544,21 @@ class TestPrepend:
             make_rng(0, 7, 0),
             mode=AdapterMode.parse("prepend"),
         )
-        gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-        pool = TaskPool(
-            entries=[
-                PoolEntry(
-                    adapters=adapters,
-                    gaussian=gaussian,
-                    mean_key=mean_key,
-                    class_templates=task.class_templates,
-                )
-            ],
-            kind="prepend",
-        )
-        res = infer(task.test_ids[0], pool, task.class_templates, small_encoder)
-        assert res.weight == 1.0
-        cls, _, wts = infer_batch(
-            task.test_ids[:4], pool, task.class_templates, small_encoder
-        )
-        assert np.all(wts == 1.0)
+        gaussian = estimate_task_stats(task.train_ids, small_encoder)
+        pool = TaskPool(entries=[PoolEntry(adapters=adapters, gaussian=gaussian)], kind="prepend")
+        for calibrate in (True, False):
+            _, _, w = _infer_one(task.test_ids, 0, pool, task.class_templates, small_encoder, calibrate)
+            assert w == 1.0
+            cls, _, wts = infer_batch(
+                task.test_ids[:4], pool, task.class_templates, small_encoder, calibrate
+            )
+            assert np.all(wts == 1.0)
 
 
 class TestPoolIsolation:
     def test_earlier_entries_untouched_by_new_task(self, small_stream, small_encoder):
-        # Learning a second task must not modify the first entry: adapters,
-        # Gaussian, and key stay bitwise identical.
+        # Learning a second task must not modify the first entry: adapters
+        # and Gaussian stay bitwise identical.
         pool = TaskPool()
         snapshots = []
         cfg = dataclasses.replace(SMALL_CFG, epochs=2)
@@ -583,39 +571,18 @@ class TestPoolIsolation:
                 cfg,
                 make_rng(cfg.seed, 7, task.index),
             )
-            gaussian, mean_key = estimate_task_stats(task.train_ids, small_encoder)
-            pool.entries.append(
-                PoolEntry(
-                    adapters=adapters,
-                    gaussian=gaussian,
-                    mean_key=mean_key,
-                    class_templates=task.class_templates,
-                )
-            )
+            gaussian = estimate_task_stats(task.train_ids, small_encoder)
+            pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
             snapshots.append(
-                (
-                    _adapter_bytes(adapters),
-                    gaussian.mu.tobytes(),
-                    gaussian.sigma.tobytes(),
-                    mean_key.tobytes(),
-                )
+                (_adapter_bytes(adapters), gaussian.mu.tobytes(), gaussian.sigma.tobytes())
             )
         for entry, snap in zip(pool.entries, snapshots):
             assert _adapter_bytes(entry.adapters) == snap[0]
             assert entry.gaussian.mu.tobytes() == snap[1]
             assert entry.gaussian.sigma.tobytes() == snap[2]
-            assert entry.mean_key.tobytes() == snap[3]
 
 
 class TestZeroShot:
-    def test_matches_manual_logit_argmax(self, small_stream, small_encoder):
-        task = small_stream[0]
-        text = class_embeddings(task.class_templates, small_encoder.text)
-        for row in task.test_ids[:10]:
-            feat = encode(row, small_encoder.image)
-            manual = int(np.argmax(logits(feat, text)))
-            assert zero_shot_infer(row, task.class_templates, small_encoder) == manual
-
     def test_beats_chance_on_stream(self, default_encoder):
         # Shared embedding table gives the frozen towers real alignment;
         # needs the full-width encoder to show, so this one runs at d=32.
@@ -624,7 +591,6 @@ class TestZeroShot:
         )
         hits = total = 0
         for task in stream:
-            for row, lab in zip(task.test_ids, task.test_labels):
-                hits += zero_shot_infer(row, task.class_templates, default_encoder) == lab
-                total += 1
+            hits += int((_zero_shot(task.test_ids, task.class_templates, default_encoder) == task.test_labels).sum())
+            total += len(task.test_labels)
         assert hits / total > 1.0 / len(stream[0].class_templates)

@@ -1,4 +1,4 @@
-"""Kernel contracts: matmul, softmax, cross-entropy, Cholesky, RNG."""
+"""Kernel contracts: validators, softmax, the training loss, Cholesky, RNG."""
 
 import math
 
@@ -8,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resadapt.errors import ContractError, ShapeError, SingularityError
+from resadapt.learner import batch_cross_entropy
 from resadapt.numkernel import (
     cholesky_factor,
     cholesky_logdet,
     cholesky_solve,
-    cholesky_solve_logdet,
-    cross_entropy,
     finite_diff_grad,
     make_rng,
     mat,
-    matmul,
     softmax_backward,
-    softmax_row_jacobian,
     softmax_rows,
     vec,
 )
@@ -46,28 +43,6 @@ def test_mat_rejects_ragged_and_nonfinite():
 def test_vec_rejects_matrix_input():
     with pytest.raises(ShapeError):
         vec([[1.0, 2.0]])
-
-
-# ------------------------------------------------------------------- matmul
-
-
-def test_matmul_identity():
-    a = mat([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_scalar_case():
-    assert matmul(mat([[2.0]]), mat([[3.0]]))[0, 0] == 6.0
-
-
-def test_matmul_hand_product():
-    out = matmul(mat([[1.0, 2.0], [3.0, 4.0]]), mat([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal(out, mat([[19.0, 22.0], [43.0, 50.0]]))
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 # ------------------------------------------------------------------ softmax
@@ -110,6 +85,19 @@ def test_softmax_shift_invariance(row, c):
 
 
 # ----------------------------------------------------------------- jacobian
+
+
+def softmax_row_jacobian(a: np.ndarray) -> np.ndarray:
+    """Oracle for softmax_backward: the full Jacobian at a softmaxed row a.
+
+    J[s, t] = a_s (1 - a_s) for s == t and -a_s a_t otherwise, i.e.
+    diag(a) - outer(a, a). The input must be a probability row: entries
+    non-negative and summing to 1 within 1e-9.
+    """
+    a = vec(a)
+    if np.any(a < 0.0) or abs(float(a.sum()) - 1.0) > 1e-9:
+        raise ContractError("input is not a normalized probability row")
+    return np.diag(a) - np.outer(a, a)
 
 
 def test_jacobian_half_half():
@@ -159,56 +147,80 @@ def test_softmax_backward_matches_jacobian_route():
 
 
 # ------------------------------------------------------------ cross entropy
+# batch_cross_entropy is the training loss: the mean over a (B, K) logit
+# block, with the gradient of that mean. Each case runs on a one-row block
+# and on a multi-row block.
 
 
 def test_cross_entropy_uniform_two_way():
-    loss, grad = cross_entropy(vec([0.0, 0.0]), 0)
+    loss, grad = batch_cross_entropy(mat([[0.0, 0.0]]), np.array([0]))
     assert abs(loss - math.log(2.0)) < 1e-12
-    assert np.allclose(grad, [-0.5, 0.5], atol=1e-12)
+    assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-12)
+    loss, grad = batch_cross_entropy(np.zeros((3, 2)), np.array([0, 1, 0]))
+    assert abs(loss - math.log(2.0)) < 1e-12
+    assert np.allclose(grad, np.array([[-0.5, 0.5], [0.5, -0.5], [-0.5, 0.5]]) / 3, atol=1e-12)
 
 
 def test_cross_entropy_near_certain():
-    loss, _ = cross_entropy(vec([10.0, -10.0]), 0)
+    loss, _ = batch_cross_entropy(mat([[10.0, -10.0]]), np.array([0]))
     assert loss < 1e-8
+    assert abs(loss - 2.06e-9) < 1e-10
+    loss, _ = batch_cross_entropy(mat([[10.0, -10.0], [-10.0, 10.0]]), np.array([0, 1]))
     assert abs(loss - 2.06e-9) < 1e-10
 
 
 def test_cross_entropy_label_out_of_range():
-    with pytest.raises(IndexError):
-        cross_entropy(vec([0.0, 0.0]), 2)
+    for logits, labels in (([[0.0, 0.0]], [2]), ([[0.0, 0.0]], [-1]), ([[0.0, 0.0], [1.0, 2.0]], [0, 2])):
+        with pytest.raises(IndexError):
+            batch_cross_entropy(mat(logits), np.array(labels))
 
 
 def test_cross_entropy_grad_matches_finite_differences():
     rng = make_rng(6)
-    logits = rng.normal(size=5)
-    _, grad = cross_entropy(logits, 2)
-    num = finite_diff_grad(lambda z: cross_entropy(z, 2)[0], logits, 1e-6)
-    assert np.allclose(grad, num, atol=1e-6)
+    for b in (1, 4):
+        logits = rng.normal(size=(b, 5))
+        labels = rng.integers(0, 5, size=b)
+        _, grad = batch_cross_entropy(logits, labels)
+        num = finite_diff_grad(lambda z: batch_cross_entropy(z, labels)[0], logits, 1e-6)
+        assert np.allclose(grad, num, atol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.floats(min_value=-30.0, max_value=30.0, allow_nan=False), min_size=2, max_size=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=6),
     st.data(),
 )
-def test_cross_entropy_nonnegative_and_grad_sums_to_zero(logits, data):
-    label = data.draw(st.integers(min_value=0, max_value=len(logits) - 1))
-    loss, grad = cross_entropy(vec(logits), label)
+def test_cross_entropy_nonnegative_and_grad_sums_to_zero(b, k, data):
+    logits = data.draw(
+        st.lists(
+            st.lists(st.floats(min_value=-30.0, max_value=30.0, allow_nan=False), min_size=k, max_size=k),
+            min_size=b,
+            max_size=b,
+        )
+    )
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=b, max_size=b))
+    loss, grad = batch_cross_entropy(mat(logits), np.array(labels))
     assert loss >= 0.0
-    assert abs(grad.sum()) < 1e-12
+    assert np.all(np.abs(grad.sum(axis=1)) < 1e-12)
 
 
 # ----------------------------------------------------------------- cholesky
 
 
+def _solve_and_logdet(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    lower = cholesky_factor(s)
+    return cholesky_solve(lower, v), cholesky_logdet(lower)
+
+
 def test_cholesky_identity_case():
-    x, logdet = cholesky_solve_logdet(np.eye(3), vec([1.0, 2.0, 3.0]))
+    x, logdet = _solve_and_logdet(np.eye(3), vec([1.0, 2.0, 3.0]))
     assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-15)
     assert logdet == 0.0
 
 
 def test_cholesky_scalar_case():
-    x, logdet = cholesky_solve_logdet(mat([[4.0]]), vec([8.0]))
+    x, logdet = _solve_and_logdet(mat([[4.0]]), vec([8.0]))
     assert abs(x[0] - 2.0) < 1e-15
     assert abs(logdet - math.log(4.0)) < 1e-15
 
@@ -218,7 +230,7 @@ def test_cholesky_against_brute_force():
     a = rng.normal(size=(6, 6))
     s = a @ a.T + 0.5 * np.eye(6)
     v = rng.normal(size=6)
-    x, logdet = cholesky_solve_logdet(s, v)
+    x, logdet = _solve_and_logdet(s, v)
     assert np.allclose(x, np.linalg.solve(s, v), atol=1e-8)
     eigs = np.linalg.eigvalsh(s)
     assert abs(logdet - np.sum(np.log(eigs))) < 1e-8
@@ -231,7 +243,7 @@ def test_cholesky_non_spd_raises():
 
 def test_cholesky_asymmetric_raises():
     with pytest.raises(ContractError):
-        cholesky_solve_logdet(mat([[1.0, 0.5], [0.0, 1.0]]), vec([1.0, 1.0]))
+        cholesky_factor(mat([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_cholesky_factor_solve_roundtrip():

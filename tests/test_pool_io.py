@@ -15,7 +15,7 @@ from resadapt.learner import (
     TaskPool,
     TrainConfig,
     estimate_task_stats,
-    infer,
+    infer_batch,
     train_task,
 )
 from resadapt.numkernel import make_rng
@@ -41,14 +41,8 @@ def build_pool(enc, mode_text="iki", kind="residual") -> tuple[TaskPool, list]:
             make_rng(CFG.seed, 7, task.index),
             mode=mode,
         )
-        gaussian, mean_key = estimate_task_stats(task.train_ids, enc)
         pool.entries.append(
-            PoolEntry(
-                adapters=adapters,
-                gaussian=gaussian,
-                mean_key=mean_key,
-                class_templates=task.class_templates,
-            )
+            PoolEntry(adapters=adapters, gaussian=estimate_task_stats(task.train_ids, enc))
         )
     return pool, stream
 
@@ -77,9 +71,20 @@ class TestRoundTrip:
             assert a.gaussian.mu.tobytes() == b.gaussian.mu.tobytes()
             assert a.gaussian.sigma.tobytes() == b.gaussian.sigma.tobytes()
             assert a.gaussian.ridge == b.gaussian.ridge
+            # The factor and log-determinant are recomputed on load and
+            # equal the fitted ones exactly.
+            assert a.gaussian.chol.tobytes() == b.gaussian.chol.tobytes()
             assert a.gaussian.logdet == b.gaussian.logdet
-            assert a.mean_key.tobytes() == b.mean_key.tobytes()
-            assert a.class_templates == b.class_templates
+
+    def test_entry_holds_only_adapters_and_gaussian(self, residual_pool, tmp_path):
+        pool, _ = residual_pool
+        path = tmp_path / "pool.json"
+        save_pool(pool, path, ENC_SPEC)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        for e in doc["entries"]:
+            assert set(e) == {"image_adapters", "text_adapters", "gaussian"}
+            assert set(e["gaussian"]) == {"mu", "sigma", "ridge"}
 
     def test_loaded_pool_decides_identically(self, residual_pool, small_encoder, tmp_path):
         # Functional round trip: the reloaded pool must reproduce every
@@ -89,12 +94,12 @@ class TestRoundTrip:
         save_pool(pool, path, ENC_SPEC)
         loaded, _ = load_pool(path)
         candidates = stream[0].class_templates + stream[1].class_templates
-        for task in stream:
-            for row in task.test_ids[:4]:
-                a = infer(row, pool, candidates, small_encoder)
-                b = infer(row, loaded, candidates, small_encoder)
-                assert (a.class_idx, a.task_idx) == (b.class_idx, b.task_idx)
-                assert a.weight == b.weight
+        ids = np.vstack([task.test_ids for task in stream])
+        for a, b in zip(
+            infer_batch(ids, pool, candidates, small_encoder),
+            infer_batch(ids, loaded, candidates, small_encoder),
+        ):
+            assert a.tobytes() == b.tobytes()
 
     def test_prepend_pool_round_trip(self, small_encoder, tmp_path):
         pool, _ = build_pool(small_encoder, mode_text="prepend", kind="prepend")
@@ -137,14 +142,46 @@ class TestRejection:
         doc = json.loads(path.read_text())
         mutate(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             load_pool(path)
+        return str(exc.value)
 
     def test_wrong_format(self, residual_pool, tmp_path):
         self._tamper(residual_pool, tmp_path, lambda d: d.update(format="other"))
 
     def test_wrong_version(self, residual_pool, tmp_path):
         self._tamper(residual_pool, tmp_path, lambda d: d.update(version=99))
+
+    def test_version_1_rejected(self, residual_pool, tmp_path):
+        message = self._tamper(residual_pool, tmp_path, lambda d: d.update(version=1))
+        assert "unsupported pool version 1" in message
+
+    @pytest.mark.parametrize(
+        "where,value",
+        [
+            (("gaussian", "mu"), "nan"),
+            (("gaussian", "sigma"), "inf"),
+            (("image_adapters", 0, "v_r"), "inf"),
+            (("text_adapters", 1, "k_r"), "-inf"),
+        ],
+    )
+    def test_non_finite_value(self, residual_pool, tmp_path, where, value):
+        def poison(doc):
+            obj = doc["entries"][0]
+            for key in where:
+                obj = obj[key]
+            obj["data"][0] = value
+
+        message = self._tamper(residual_pool, tmp_path, poison)
+        assert "non-finite" in message and "pool.json" in message
+
+    @pytest.mark.parametrize("ridge", [0.0, -1e-7, float("inf"), float("nan")])
+    def test_ridge_not_finite_positive(self, residual_pool, tmp_path, ridge):
+        def set_ridge(doc):
+            doc["entries"][0]["gaussian"]["ridge"] = ridge.hex()
+
+        message = self._tamper(residual_pool, tmp_path, set_ridge)
+        assert "ridge" in message
 
     def test_unknown_kind(self, residual_pool, tmp_path):
         self._tamper(residual_pool, tmp_path, lambda d: d.update(kind="banana"))

@@ -1,4 +1,7 @@
-"""Gaussian scoring contracts: fit, density, selection, sigmoid gate."""
+"""Gaussian scoring contracts: fit, density, selection, sigmoid gate.
+
+Single samples go through the batched ops as batches of one.
+"""
 
 import math
 
@@ -6,20 +9,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from resadapt.errors import ContractError
-from resadapt.numkernel import make_rng, vec
+from resadapt.learner import AdapterSet, PoolEntry, TaskPool, route, score_entries
+from resadapt.numkernel import make_rng
 from resadapt.taskdist import (
     RIDGE_MAX,
-    calibration_weight,
     calibration_weight_batch,
     fit_gaussian,
-    key_match,
-    log_density,
     log_density_batch,
-    select_task,
 )
+
+TINY = np.nextafter(0.0, 1.0)
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _log_density(g, x) -> float:
+    return float(log_density_batch(g, np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
+def _weight(s_hat: float) -> float:
+    return float(calibration_weight_batch(np.array([s_hat]))[0])
 
 
 # ---------------------------------------------------------------------- fit
@@ -72,43 +84,45 @@ def test_fit_escalates_ridge_on_degenerate_data():
 
 def test_log_density_standard_normal_at_mean():
     g = fit_gaussian(np.array([[1.0], [-1.0]]), ridge=1e-12)  # mu 0, sigma ~1
-    assert abs(log_density(g, vec([0.0])) - (-0.5 * math.log(2 * math.pi))) < 1e-11
+    assert abs(_log_density(g, [0.0]) - (-0.5 * math.log(2 * math.pi))) < 1e-11
 
 
 def test_log_density_at_mean_general():
     rng = make_rng(1)
     g = fit_gaussian(rng.normal(size=(60, 5)), ridge=1e-7)
     expected = -0.5 * (5 * math.log(2 * math.pi) + g.logdet)
-    assert abs(log_density(g, g.mu) - expected) < 1e-10
+    assert abs(_log_density(g, g.mu) - expected) < 1e-10
 
 
 def test_log_density_matches_scipy():
     rng = make_rng(2)
     g = fit_gaussian(rng.normal(size=(100, 6)), ridge=1e-7)
-    for _ in range(10):
-        x = rng.normal(size=6)
-        ref = multivariate_normal(mean=g.mu, cov=g.sigma).logpdf(x)
-        assert abs(log_density(g, x) - ref) < 1e-8
+    xs = rng.normal(size=(10, 6))
+    ref = multivariate_normal(mean=g.mu, cov=g.sigma).logpdf(xs)
+    assert np.all(np.abs(log_density_batch(g, xs) - ref) < 1e-8)
 
 
 def test_log_density_batch_matches_loop():
+    # Row independence: a batch scores each row as a batch of one would.
     rng = make_rng(3)
     g = fit_gaussian(rng.normal(size=(80, 4)), ridge=1e-7)
     xs = rng.normal(size=(25, 4))
     batch = log_density_batch(g, xs)
-    looped = np.array([log_density(g, x) for x in xs])
+    looped = np.array([_log_density(g, x) for x in xs])
     assert np.allclose(batch, looped, atol=1e-10)
 
 
 def test_log_density_maximized_at_mean():
     rng = make_rng(4)
     g = fit_gaussian(rng.normal(size=(50, 3)), ridge=1e-7)
-    at_mean = log_density(g, g.mu)
-    for _ in range(50):
-        assert log_density(g, g.mu + rng.normal(size=3) * 0.5) < at_mean
+    at_mean = _log_density(g, g.mu)
+    around = log_density_batch(g, g.mu + rng.normal(size=(50, 3)) * 0.5)
+    assert np.all(around < at_mean)
 
 
 # ---------------------------------------------------------------- selection
+# Selection is route(score_entries(...)): the argmax over one log-density
+# column per pool entry.
 
 
 def _unit_gaussian_at(center):
@@ -119,81 +133,87 @@ def _unit_gaussian_at(center):
     return fit_gaussian(x, ridge=1e-7)
 
 
+def _select(gaussians, x) -> tuple[int, float]:
+    pool = TaskPool(entries=[PoolEntry(AdapterSet((), ()), g) for g in gaussians])
+    scores = score_entries(np.asarray(x, dtype=np.float64)[None, :], pool.entries)
+    task_idx, _ = route(scores, pool)
+    return int(task_idx[0]), float(scores[0, task_idx[0]])
+
+
 def test_select_single_task():
     g = _unit_gaussian_at([0.0, 0.0])
-    idx, s = select_task([g], vec([0.3, -0.2]))
+    idx, s = _select([g], [0.3, -0.2])
     assert idx == 0
-    assert s == log_density(g, vec([0.3, -0.2]))
+    assert s == _log_density(g, [0.3, -0.2])
 
 
 def test_select_tie_breaks_to_lowest_index():
     g = _unit_gaussian_at([0.0, 0.0])
-    idx, _ = select_task([g, g], vec([1.0, 1.0]))
+    idx, _ = _select([g, g], [1.0, 1.0])
     assert idx == 0
 
 
 def test_select_two_gaussians_nearest_wins():
     ga = _unit_gaussian_at([-3.0, 0.0])
     gb = _unit_gaussian_at([3.0, 0.0])
-    x = vec([-2.0, 0.5])
-    idx, s = select_task([ga, gb], x)
+    x = [-2.0, 0.5]
+    idx, s = _select([ga, gb], x)
     assert idx == 0
-    assert s == max(log_density(ga, x), log_density(gb, x))
+    assert s == max(_log_density(ga, x), _log_density(gb, x))
 
 
 def test_select_permutation_covariant():
     ga = _unit_gaussian_at([-3.0, 0.0])
     gb = _unit_gaussian_at([3.0, 0.0])
-    x = vec([2.5, 0.0])
-    assert select_task([ga, gb], x)[0] == 1
-    assert select_task([gb, ga], x)[0] == 0
+    x = [2.5, 0.0]
+    assert _select([ga, gb], x)[0] == 1
+    assert _select([gb, ga], x)[0] == 0
 
 
 def test_select_empty_pool_rejected():
     with pytest.raises(ContractError):
-        select_task([], vec([0.0]))
+        _select([], [0.0])
 
 
 # -------------------------------------------------------------- calibration
 
 
 def test_calibration_weight_midpoint():
-    assert calibration_weight(0.0) == 0.5
+    assert _weight(0.0) == 0.5
 
 
 def test_calibration_weight_saturation():
-    assert calibration_weight(20.0) > 0.999999
-    assert calibration_weight(-20.0) < 1e-8
+    assert _weight(20.0) > 0.999999
+    assert _weight(-20.0) < 1e-8
 
 
 def test_calibration_weight_open_interval_under_overflow():
-    lo = calibration_weight(-1e6)
-    hi = calibration_weight(1e6)
+    lo = _weight(-1e6)
+    hi = _weight(1e6)
     assert 0.0 < lo < hi < 1.0
 
 
-def test_calibration_weight_prescale():
-    assert calibration_weight(4.0, prescale_a=0.5, prescale_b=-2.0) == 0.5
-    assert calibration_weight(10.0, prescale_a=-1.0) == calibration_weight(-10.0)
-
-
 def test_calibration_weight_strictly_monotone_grid():
-    grid = np.linspace(-30.0, 30.0, 301)
-    ws = [calibration_weight(float(s)) for s in grid]
-    assert all(a < b for a, b in zip(ws, ws[1:]))
+    ws = calibration_weight_batch(np.linspace(-30.0, 30.0, 301))
+    assert np.all(ws[:-1] < ws[1:])
 
 
 def test_calibration_weight_batch_matches_scalar():
-    s = np.linspace(-50.0, 50.0, 21)
+    # Against scipy's sigmoid, clipped to the open interval. The two
+    # formulas round differently by at most 2 ulp; below exp(-708) both are
+    # subnormal, where that relative bound does not hold.
+    s = np.concatenate([np.linspace(-800.0, 800.0, 1601), [-1e6, 1e6]])
     batch = calibration_weight_batch(s)
-    scalar = np.array([calibration_weight(float(v)) for v in s])
-    assert np.array_equal(batch, scalar)
+    ref = np.clip(expit(s), TINY, BELOW_ONE)
+    np.testing.assert_allclose(batch, ref, rtol=5e-16, atol=1e-300)
+    # A scalar call is a batch of one and agrees with the batch bit for bit.
+    assert np.array_equal(batch, [_weight(float(v)) for v in s])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-1e8, max_value=1e8, allow_nan=False))
 def test_calibration_weight_always_in_open_interval(s):
-    w = calibration_weight(s)
+    w = _weight(s)
     assert 0.0 < w < 1.0
 
 
@@ -206,35 +226,4 @@ def test_far_sample_gating_at_moderate_scale():
     direction = rng.normal(size=4)
     direction /= np.linalg.norm(direction)
     far = g.mu + direction * 10.5 * 0.5  # ~10.5 sigma along an axis of scale 0.5
-    s = log_density(g, far)
-    assert calibration_weight(s) < 1e-3
-
-
-# ---------------------------------------------------------------- key match
-
-
-def test_key_match_exact_row():
-    keys = np.eye(3)
-    assert key_match(keys, vec([0.0, 1.0, 0.0])) == 1
-
-
-def test_key_match_near_e1():
-    keys = np.eye(2)
-    x = vec([0.995, 0.0998749217771909])  # unit norm, mostly e1
-    assert key_match(keys, x) == 0
-
-
-def test_key_match_equals_brute_force():
-    rng = make_rng(6)
-    keys = rng.normal(size=(7, 5))
-    keys /= np.linalg.norm(keys, axis=1, keepdims=True)
-    for _ in range(20):
-        x = rng.normal(size=5)
-        x /= np.linalg.norm(x)
-        best = max(range(7), key=lambda j: float(np.dot(keys[j], x)))
-        assert key_match(keys, x) == best
-
-
-def test_key_match_rejects_non_unit():
-    with pytest.raises(ContractError):
-        key_match(2.0 * np.eye(2), vec([1.0, 0.0]))
+    assert _weight(_log_density(g, far)) < 1e-3
