@@ -164,6 +164,13 @@ class FrozenCache:
     attn: np.ndarray
     out: np.ndarray
 
+    def take(self, idx: np.ndarray) -> "FrozenCache":
+        """The cache of the batch rows idx of a (B, L, d) forward."""
+        return FrozenCache(
+            x=self.x[idx], p=self.p, q=self.q[idx], k=self.k[idx], v=self.v[idx],
+            attn=self.attn[idx], out=self.out[idx],
+        )
+
 
 def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarray, FrozenCache]:
     x = _check_seq(x, p.d)
@@ -205,8 +212,14 @@ class ResidualCache:
 
 
 def _check_weight(w) -> np.ndarray | float:
+    # Both tests are written so that NaN fails them. A float, the weight
+    # training pins at every step, skips the array round trip.
+    if isinstance(w, float):
+        if not 0.0 <= w <= 1.0:
+            raise ContractError(f"residual weight must lie in [0, 1], got {w}")
+        return float(w)
     w_arr = np.asarray(w, dtype=np.float64)
-    if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
+    if not np.all((w_arr >= 0.0) & (w_arr <= 1.0)):
         raise ContractError(f"residual weight must lie in [0, 1], got {w}")
     return float(w_arr) if w_arr.ndim == 0 else w_arr
 
@@ -220,30 +233,41 @@ def _broadcast_weight(w, out_r: np.ndarray):
     return w[:, None, None]
 
 
-def residual_attn_with_cache(
-    x: np.ndarray, p: FrozenAttention, a: Adapter, w
-) -> tuple[np.ndarray, ResidualCache]:
-    if a.d != p.d:
-        raise ShapeError(f"adapter width {a.d} does not match layer width {p.d}")
+def residual_readout(fc: FrozenCache, a: Adapter, w) -> tuple[np.ndarray, ResidualCache]:
+    """Residual layer output over a frozen forward that is already computed.
+
+    Adds w times the adapter readout softmax(Q k_r^T / sqrt(d)) v_r to
+    fc.out, reading the query Q from fc. Nothing in fc depends on the
+    adapter, so one frozen forward can serve any number of readouts.
+    """
+    if a.d != fc.p.d:
+        raise ShapeError(f"adapter width {a.d} does not match layer width {fc.p.d}")
     w = _check_weight(w)
-    out_f, fc = frozen_attn_with_cache(x, p)
-    inv_sqrt_d = 1.0 / np.sqrt(p.d)
+    inv_sqrt_d = 1.0 / np.sqrt(fc.p.d)
     scores_r = (fc.q @ a.k_r.T) * inv_sqrt_d
     attn_r = softmax_rows(scores_r)
     out_r = attn_r @ a.v_r
-    out = out_f + _broadcast_weight(w, out_r) * out_r
+    out = fc.out + _broadcast_weight(w, out_r) * out_r
     return out, ResidualCache(frozen=fc, a=a, w=w, attn_r=attn_r, out=out)
 
 
+def residual_attn_with_cache(
+    x: np.ndarray, p: FrozenAttention, a: Adapter, w
+) -> tuple[np.ndarray, ResidualCache]:
+    _, fc = frozen_attn_with_cache(x, p)
+    return residual_readout(fc, a, w)
+
+
 def residual_attn_backward(
-    cache: ResidualCache, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cache: ResidualCache, d_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward through the residual layer.
 
     Returns (d_x, d_k_r, d_v_r) for the scalar <d_out, out>. The frozen
     output receives d_out unchanged; the residual branch receives w d_out
     and routes it into the adapter parameters and, through the shared
-    query, back into x.
+    query, back into x. With input_grad=False, d_x is None and neither the
+    frozen backward nor the query's input gradient is computed.
     """
     fc = cache.frozen
     a = cache.a
@@ -253,6 +277,8 @@ def residual_attn_backward(
     d_attn_r = wd @ a.v_r.T
     d_scores_r = softmax_backward(cache.attn_r, d_attn_r)
     d_k_r = _sum_batch(np.swapaxes(d_scores_r, -1, -2) @ fc.q) * inv_sqrt_d
+    if not input_grad:
+        return None, d_k_r, d_v_r
     d_q_r = (d_scores_r @ a.k_r) * inv_sqrt_d
     d_x = frozen_attn_backward(fc, d_out) + d_q_r @ fc.p.w_q.T
     return d_x, d_k_r, d_v_r

@@ -19,6 +19,7 @@ import numpy as np
 from .attention import (
     Adapter,
     FrozenAttention,
+    FrozenCache,
     PromptBaseline,
     frozen_attn_backward,
     frozen_attn_with_cache,
@@ -27,6 +28,7 @@ from .attention import (
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
+    residual_readout,
 )
 from .errors import ContractError, ShapeError
 from .numkernel import make_rng
@@ -136,7 +138,13 @@ class EncodeCache:
     feats: np.ndarray
 
 
-def _apply_layer(x, layer, attach, w):
+def _apply_layer(x, layer, attach, w, fc):
+    # fc, when given, is this layer's frozen forward over x, computed earlier.
+    if fc is not None:
+        if not isinstance(attach, Adapter):
+            raise ContractError("a layer-0 cache serves only a residual adapter on layer 0")
+        out, cache = residual_readout(fc, attach, w)
+        return x + out, cache, "residual"
     if attach is None:
         out, cache = frozen_attn_with_cache(x, layer)
         return x + out, cache, "frozen"
@@ -149,21 +157,45 @@ def _apply_layer(x, layer, attach, w):
     raise ContractError(f"unsupported per-layer attachment {type(attach).__name__}")
 
 
+def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
+    """Layer 0's frozen forward over the embedded token ids.
+
+    Layer 0 reads only the frozen embeddings, and a residual adapter leaves
+    the frozen path as it is, so no training step changes this cache:
+    encode_with_cache can take it, or its take() of some rows, in place of
+    recomputing it.
+    """
+    ids = _check_ids(token_ids, stack.vocab)
+    _, cache = frozen_attn_with_cache(stack.embed[ids], stack.layers[0])
+    return cache
+
+
 def encode_with_cache(
     token_ids,
     stack: EncoderStack,
     adapters: Sequence[Adapter | PromptBaseline] | None = None,
     w=1.0,
+    layer0: FrozenCache | None = None,
 ) -> tuple[np.ndarray, EncodeCache]:
-    """Forward pass keeping intermediates for the training backward."""
-    ids = _check_ids(token_ids, stack.vocab)
+    """Forward pass keeping intermediates for the training backward.
+
+    layer0, if given, is layer0_cache(token_ids, stack): it replaces the
+    embedding lookup and layer 0's frozen attention, and the token ids are
+    then not read again. It needs a residual adapter on layer 0: a prompt
+    changes layer 0's input, so no cache can serve it.
+    """
     if adapters is not None and len(adapters) > stack.depth:
         raise ShapeError(f"{len(adapters)} attachments for a depth-{stack.depth} stack")
-    x = stack.embed[ids]
+    if layer0 is None:
+        x = stack.embed[_check_ids(token_ids, stack.vocab)]
+    elif layer0.p is not stack.layers[0] or np.shape(token_ids) != layer0.x.shape[:-1]:
+        raise ContractError("layer0 is not the layer-0 cache of these token ids in this stack")
+    else:
+        x = layer0.x
     caches, kinds = [], []
     for i, layer in enumerate(stack.layers):
         attach = adapters[i] if adapters is not None and i < len(adapters) else None
-        x, cache, kind = _apply_layer(x, layer, attach, w)
+        x, cache, kind = _apply_layer(x, layer, attach, w, layer0 if i == 0 else None)
         caches.append(cache)
         kinds.append(kind)
     pooled = x.mean(axis=-2)
@@ -180,7 +212,7 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
     Returns a per-layer list: None for plain frozen layers, (d_k_r, d_v_r)
     for residual adapters, d_prompt for prepend prompts. Gradients are
     summed over the batch. Embeddings are frozen, so propagation stops
-    below layer 0.
+    below layer 0: layer 0 computes only its own parameter gradients.
     """
     # Through L2 normalization: f = u / |u|, du = (df - f (f . df)) / |u|.
     f = cache.feats
@@ -194,16 +226,17 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
     grads: list = [None] * len(cache.layer_caches)
     for i in range(len(cache.layer_caches) - 1, -1, -1):
         kind, layer_cache = cache.kinds[i], cache.layer_caches[i]
-        if kind == "frozen":
-            d_attn_in = frozen_attn_backward(layer_cache, d_x)
-        elif kind == "residual":
-            d_attn_in, d_k_r, d_v_r = residual_attn_backward(layer_cache, d_x)
+        if kind == "residual":
+            d_attn_in, d_k_r, d_v_r = residual_attn_backward(layer_cache, d_x, input_grad=i > 0)
             grads[i] = (d_k_r, d_v_r)
-        else:
-            d_attn_in, d_prompt = prepend_attn_backward(layer_cache, d_x)
-            grads[i] = d_prompt
-        # Residual skip: x_{i+1} = x_i + attn(x_i).
-        d_x = d_x + d_attn_in
+        elif kind == "prepend":
+            # The prompt's gradient needs the full frozen backward at any layer.
+            d_attn_in, grads[i] = prepend_attn_backward(layer_cache, d_x)
+        elif i > 0:
+            d_attn_in = frozen_attn_backward(layer_cache, d_x)
+        if i > 0:
+            # Residual skip: x_{i+1} = x_i + attn(x_i).
+            d_x = d_x + d_attn_in
     return grads
 
 
@@ -217,8 +250,12 @@ def encode(
 
     token_ids may be (L,) for a single sequence or (B, L) for a batch; the
     result is (d,) or (B, d). For batches, w may be one weight per sample.
+    Raises ContractError if a feature is not finite, which attachments
+    that overflow the encoder cause.
     """
     feats, _ = encode_with_cache(token_ids, stack, adapters, w)
+    if not np.all(np.isfinite(feats)):
+        raise ContractError("encoded features are not finite: the attachments overflow the encoder")
     return feats
 
 

@@ -49,8 +49,8 @@ class StreamSpec:
             raise ConfigError("num_tasks, classes_per_task, samples_per_class must be >= 1")
         if self.seq_len < 4:
             raise ConfigError("seq_len must be >= 4 (class token + domain context)")
-        if self.domain_shift < 0.0:
-            raise ConfigError("domain_shift must be non-negative")
+        if not 0.0 <= self.domain_shift < np.inf:
+            raise ConfigError(f"domain_shift must be finite and >= 0, got {self.domain_shift}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.samples_per_class < 5:

@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .attention import Adapter, PromptBaseline, init_adapter, init_adapter_ablation
-from .backbone import ClassTemplate, DualEncoder, class_embeddings, encode, encode_backward, encode_with_cache
+from .backbone import (
+    ClassTemplate,
+    DualEncoder,
+    class_embeddings,
+    encode,
+    encode_backward,
+    encode_with_cache,
+    layer0_cache,
+)
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
 from .numkernel import softmax_rows
 from .taskdist import TaskGaussian, calibration_weight_batch, fit_gaussian, log_density_batch
@@ -26,6 +34,12 @@ from .taskdist import TaskGaussian, calibration_weight_batch, fit_gaussian, log_
 MODE_RESIDUAL = "iki"
 MODE_PREPEND = "prepend"
 MODE_ABLATION_PREFIX = "iki-ablation:"
+
+
+def _check_bound(bound: float, what: str) -> None:
+    # Initializers draw on [-bound, bound): its width 2 * bound must be finite.
+    if not (bound >= 0.0 and math.isfinite(2.0 * bound)):
+        raise ConfigError(f"{what} must be non-negative with 2 * {what} finite, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +62,7 @@ class AdapterMode:
                 bound = float(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad ablation bound {raw!r}") from exc
-            if bound < 0.0:
-                raise ConfigError("ablation bound must be non-negative")
+            _check_bound(bound, "ablation bound")
             return AdapterMode("residual", False, bound)
         raise ConfigError(f"unknown mode {text!r}")
 
@@ -67,13 +80,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0.0 or self.logit_scale <= 0.0 or self.ridge <= 0.0:
-            raise ConfigError("lr0, logit_scale, and ridge must be positive")
+        if not all(0.0 < v < math.inf for v in (self.lr0, self.logit_scale, self.ridge)):
+            raise ConfigError("lr0, logit_scale, and ridge must be positive and finite")
         # epochs == 0 is allowed and means "initialize only".
         if self.epochs < 0 or self.batch < 1 or self.prompt_len < 1 or self.adapter_depth < 1:
             raise ConfigError("epochs must be >= 0; batch, prompt_len, adapter_depth >= 1")
-        if self.k_bound < 0.0 or self.seed < 0:
-            raise ConfigError("k_bound and seed must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        _check_bound(self.k_bound, "k_bound")
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,12 @@ def train_task(
     templates are encoded with the residual weight pinned at 1 (calibration
     is an inference-time mechanism). Zero epochs returns the untouched
     fresh initialization.
+
+    Residual adapters leave layer 0's frozen attention untouched, and layer
+    0 reads only frozen embeddings, so its forward over every training row
+    and every template is computed once per task; each step takes its
+    batch's rows. Prompts change layer 0's input, so prepend training
+    recomputes it every step.
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -204,14 +224,19 @@ def train_task(
     template_ids = np.stack([c.token_ids() for c in class_templates])
     steps_per_epoch = max(1, math.ceil(n / cfg.batch))
     total_steps = cfg.epochs * steps_per_epoch
+    img0 = txt0 = None
+    if mode.mechanism == "residual" and cfg.epochs > 0:
+        img0 = layer0_cache(train_ids, enc.image)
+        txt0 = layer0_cache(template_ids, enc.text)
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch):
             idx = perm[start : start + cfg.batch]
             lr = cosine_lr(step, total_steps, cfg.lr0)
-            img_feats, img_cache = encode_with_cache(train_ids[idx], enc.image, img_att, 1.0)
-            txt_feats, txt_cache = encode_with_cache(template_ids, enc.text, txt_att, 1.0)
+            rows0 = None if img0 is None else img0.take(idx)
+            img_feats, img_cache = encode_with_cache(train_ids[idx], enc.image, img_att, 1.0, rows0)
+            txt_feats, txt_cache = encode_with_cache(template_ids, enc.text, txt_att, 1.0, txt0)
             logit_block = cfg.logit_scale * (img_feats @ txt_feats.T)
             loss, d_logits = batch_cross_entropy(logit_block, train_labels[idx])
             if not math.isfinite(loss):

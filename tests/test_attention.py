@@ -16,9 +16,12 @@ from resadapt.attention import (
     init_adapter,
     init_adapter_ablation,
     prepend_forward,
+    frozen_attn_with_cache,
     random_frozen_attention,
+    residual_attn_backward,
     residual_attn_with_cache,
     residual_forward,
+    residual_readout,
 )
 from resadapt.errors import ContractError, ShapeError
 from resadapt.numkernel import finite_diff_grad, make_rng, softmax_rows
@@ -179,6 +182,54 @@ def test_residual_weight_out_of_range():
         residual_forward(rng.normal(size=(2, 3)), p, a, 1.5)
     with pytest.raises(ContractError):
         residual_forward(rng.normal(size=(2, 3)), p, a, -0.1)
+
+
+@pytest.mark.parametrize("w", [float("nan"), np.float64("nan"), np.array(float("nan"))])
+def test_residual_weight_nan_rejected(w):
+    # NaN compares False both ways; a fresh adapter would turn it into NaN
+    # outputs rather than the exact identity.
+    rng = make_rng(11)
+    p = random_frozen_attention(3, rng)
+    a = init_adapter(2, 3, 0.02, rng)
+    with pytest.raises(ContractError):
+        residual_forward(rng.normal(size=(2, 3)), p, a, w)
+
+
+def test_residual_per_sample_weight_nan_rejected():
+    rng = make_rng(11)
+    p = random_frozen_attention(3, rng)
+    a = init_adapter(2, 3, 0.02, rng)
+    with pytest.raises(ContractError):
+        residual_forward(rng.normal(size=(3, 2, 3)), p, a, np.array([0.5, float("nan"), 1.0]))
+
+
+def test_readout_over_batch_cache_rows_bitwise_equal():
+    # Layer 0's frozen forward over a whole training set, restricted to a
+    # batch, must give the batch's own residual forward bit for bit.
+    rng = make_rng(18)
+    p = random_frozen_attention(4, rng)
+    a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
+    x = rng.normal(size=(9, 3, 4))
+    _, whole = frozen_attn_with_cache(x, p)
+    for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
+        got, got_cache = residual_readout(whole.take(idx), a, 1.0)
+        want, want_cache = residual_attn_with_cache(x[idx], p, a, 1.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_cache.attn_r, want_cache.attn_r)
+        for name in ("x", "q", "k", "v", "attn", "out"):
+            assert np.array_equal(getattr(got_cache.frozen, name), getattr(want_cache.frozen, name))
+
+
+def test_backward_without_input_grad_same_parameter_grads():
+    rng = make_rng(19)
+    p = random_frozen_attention(4, rng)
+    a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
+    _, cache = residual_attn_with_cache(rng.normal(size=(5, 3, 4)), p, a, 0.7)
+    d_out = rng.normal(size=(5, 3, 4))
+    d_x, d_k, d_v = residual_attn_backward(cache, d_out)
+    none, d_k_only, d_v_only = residual_attn_backward(cache, d_out, input_grad=False)
+    assert d_x.shape == (5, 3, 4) and none is None
+    assert np.array_equal(d_k, d_k_only) and np.array_equal(d_v, d_v_only)
 
 
 def test_residual_frozen_subresult_bitwise_equal():

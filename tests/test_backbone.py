@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resadapt.attention import Adapter, init_adapter
+from resadapt.attention import Adapter, PromptBaseline, init_adapter
 from resadapt.backbone import (
     TEMPLATE_PREFIX,
     ClassTemplate,
@@ -14,6 +14,7 @@ from resadapt.backbone import (
     encode,
     encode_with_cache,
     encode_backward,
+    layer0_cache,
 )
 from resadapt.errors import ContractError
 from resadapt.numkernel import finite_diff_grad, make_rng
@@ -143,3 +144,71 @@ def test_encode_backward_matches_finite_differences(small_encoder):
     for analytic, numeric in ((dk.ravel(), num_k), (dv.ravel(), num_v)):
         scale = max(np.abs(numeric).max(), 1e-10)
         assert np.abs(analytic - numeric).max() / scale <= 1e-4
+
+
+@pytest.mark.parametrize("n_adapters", [1, 2])
+def test_layer0_cache_rows_give_identical_features_and_grads(small_encoder, n_adapters):
+    # Training computes layer 0 once for all rows and takes each batch from
+    # it; features and gradients must equal encoding the batch from ids.
+    rng = make_rng(7)
+    ids = rng.integers(0, 64, size=(12, 6))
+    adapters = [
+        Adapter(k_r=rng.normal(size=(3, 8)), v_r=rng.normal(size=(3, 8)) * 0.3)
+        for _ in range(n_adapters)
+    ]
+    whole = layer0_cache(ids, small_encoder.image)
+    idx = rng.permutation(12)[:5]
+    d_feats = rng.normal(size=(5, 8))
+    feats, cache = encode_with_cache(ids[idx], small_encoder.image, adapters, 1.0, whole.take(idx))
+    ref_feats, ref_cache = encode_with_cache(ids[idx], small_encoder.image, adapters, 1.0)
+    assert np.array_equal(feats, ref_feats)
+    for got, want in zip(encode_backward(cache, d_feats), encode_backward(ref_cache, d_feats)):
+        if want is None:
+            assert got is None
+        else:
+            assert all(np.array_equal(g, v) for g, v in zip(got, want))
+
+
+def test_layer0_cache_must_match_ids_and_stack(small_encoder):
+    rng = make_rng(8)
+    ids = rng.integers(0, 64, size=(4, 6))
+    adapters = [init_adapter(3, 8, 0.02, rng)]
+    cache = layer0_cache(ids, small_encoder.image)
+    with pytest.raises(ContractError):
+        encode_with_cache(ids[:3], small_encoder.image, adapters, 1.0, cache)
+    with pytest.raises(ContractError):
+        encode_with_cache(ids, small_encoder.text, adapters, 1.0, cache)
+    prompt = [PromptBaseline(p=rng.normal(size=(3, 8)))]
+    with pytest.raises(ContractError):
+        encode_with_cache(ids, small_encoder.image, prompt, 1.0, cache)
+
+
+def test_encode_backward_skips_frozen_backward_at_layer_0(small_encoder, monkeypatch):
+    # Nothing below layer 0 is trainable, so no input gradient is formed there.
+    import resadapt.attention as attention
+
+    calls = []
+    original = attention.frozen_attn_backward
+    monkeypatch.setattr(
+        attention, "frozen_attn_backward", lambda c, d: calls.append(c) or original(c, d)
+    )
+    rng = make_rng(9)
+    ids = rng.integers(0, 64, size=(3, 6))
+    adapters = [Adapter(k_r=rng.normal(size=(3, 8)), v_r=rng.normal(size=(3, 8))) for _ in range(2)]
+    _, cache = encode_with_cache(ids, small_encoder.image, adapters, 1.0)
+    encode_backward(cache, rng.normal(size=(3, 8)))
+    assert [c is cache.layer_caches[1].frozen for c in calls] == [True]
+
+
+def test_encode_rejects_non_finite_features(small_encoder):
+    rng = make_rng(10)
+    ids = rng.integers(0, 64, size=(3, 6))
+    blown = [Adapter(k_r=rng.normal(size=(3, 8)), v_r=np.full((3, 8), np.inf))]
+    with np.errstate(invalid="ignore"), pytest.raises(ContractError):
+        encode(ids, small_encoder.image, blown, 1.0)
+
+
+def test_encode_rejects_nan_weight(small_encoder):
+    fresh = [init_adapter(3, 8, 0.02, make_rng(11))]
+    with pytest.raises(ContractError):
+        encode(make_rng(12).integers(0, 64, size=6), small_encoder.image, fresh, float("nan"))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from resadapt.backbone import EncoderSpec
@@ -37,6 +38,18 @@ SMALL_RUN_DIGESTS = {
     "iki": "f0ad1da38504d65a7bb137dd0802597086f36ab9ec5d75a07c2b88c04743ccb2",
     "prepend": "4f5ad05865e9dec98f4d14ed6b4a605801585cdce208ffd1d236fbc7394c0ec3",
 }
+
+# One full batch per epoch at a learning rate that trains huge but finite
+# adapters in one step.
+HUGE_LR_CFG = """\
+lr0 = 1e300
+batch = 64
+num_tasks = 2
+classes_per_task = 2
+samples_per_class = 10
+vocab = 64
+embed_dim = 8
+"""
 
 GEN_ARGS = ["gen-tasks", "--seed", "0", "--tasks", "2", "--classes", "2",
             "--samples", "20", "--vocab", "64"]
@@ -74,6 +87,12 @@ class TestGenTasks:
         assert main(GEN_ARGS + ["--out", str(a)]) == 0
         assert main(GEN_ARGS + ["--out", str(b)]) == 0
         assert (a / "stream.json").read_bytes() == (b / "stream.json").read_bytes()
+
+    def test_non_finite_domain_shift_exits_2(self, tmp_path, capsys):
+        code = main(GEN_ARGS + ["--domain-shift", "nan", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "domain_shift" in err and len(err.strip().splitlines()) == 1
 
     def test_impossible_spec_exits_2(self, tmp_path, capsys):
         args = ["gen-tasks", "--seed", "0", "--tasks", "2", "--classes", "2",
@@ -237,6 +256,52 @@ class TestRun:
         assert main(["run", "--config", str(SMALL_CFG), "--mode", mode, "--out", str(out)]) == 0
         data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == SMALL_RUN_DIGESTS[mode]
+
+    @pytest.mark.parametrize(
+        "epochs,message", [(1, "features are not finite"), (2, "non-finite loss at step 1")]
+    )
+    def test_overflowing_adapters_exit_2(self, tmp_path, capsys, epochs, message):
+        # epochs = 1: training ends before a loss goes NaN, and evaluation's
+        # features overflow (this run used to exit 0 with chance accuracies).
+        # epochs = 2: step 1's loss is NaN and training diverges.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(HUGE_LR_CFG + f"epochs = {epochs}\n")
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o" / "grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line,mode",
+        [
+            ("k_bound = nan", "iki"),
+            ("k_bound = inf", "iki"),
+            ("k_bound = 1e308", "iki"),
+            ("lr0 = nan", "iki"),
+            ("lr0 = inf", "iki"),
+            ("logit_scale = nan", "iki"),
+            ("logit_scale = inf", "iki"),
+            ("domain_shift = nan", "iki"),
+            ("domain_shift = inf", "iki"),
+            ("", "iki-ablation:nan"),
+            ("", "iki-ablation:inf"),
+            ("", "iki-ablation:1e308"),
+        ],
+    )
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, line, mode):
+        # The message names the setting; a NaN lr0 used to surface only as
+        # "training diverged".
+        name = line.split(" = ")[0] if line else "ablation bound"
+        kept = [kv for kv in TINY_CFG.splitlines() if not kv.startswith(name + " =")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        code = main(["run", "--config", str(cfg), "--mode", mode, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "diverged" not in err and "duplicate" not in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.cfg"),

@@ -1,5 +1,8 @@
 """Incremental harness: matrix filling, stability, and manual weight dial."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,25 @@ from resadapt.bench.continual import (
     run_continual,
     zero_shot_sweep,
 )
+from resadapt.bench.config import load_config
 from resadapt.bench.stream import StreamSpec, gen_stream
 from resadapt.errors import ConfigError, ContractError
 from resadapt.backbone import class_embeddings, encode
 from resadapt.learner import InferState, TaskPool, TrainConfig, infer_batch
 
 CFG = TrainConfig(lr0=5.0, epochs=2, batch=16, prompt_len=4, adapter_depth=2, seed=0)
+
+SMALL_CFG = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"
+
+# sha256 over every trained attachment array of a configs/small.cfg run, in
+# pool order: per entry, the image then the text attachments, each as k_r
+# then v_r (or p) in native float64 bytes. Recorded before training computed
+# layer 0 once per task; a speed change must train the same bits.
+SMALL_ADAPTER_DIGESTS = {
+    "iki": "8ce1b4c1bd14860da69c00a998476899ebd707e1a88d7df0f5ca2fd8722293c0",
+    "prepend": "6a7a0fec9e3d9fbaa757ee270130a83b7bc4c62689e1a2bb2f9b6bb6e5c4db57",
+    "iki-ablation:0.02": "775359d5d0e94403ba5ab3372d3a540104caae61f47a75a9b7c6aa26c78e24d8",
+}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +90,17 @@ class TestRunContinual:
         _, pool = run
         with pytest.raises(ContractError):
             evaluate_task(small_stream[0], pool, small_encoder, True, logit_scale)
+
+    @pytest.mark.parametrize("mode", sorted(SMALL_ADAPTER_DIGESTS))
+    def test_small_config_adapters_pinned(self, mode):
+        cfg = load_config(SMALL_CFG)
+        _, pool = run_continual(gen_stream(cfg.stream), cfg.build_encoder(), cfg.train, True, mode)
+        h = hashlib.sha256()
+        for entry in pool.entries:
+            for att in entry.adapters.image_adapters + entry.adapters.text_adapters:
+                for a in (att.p,) if pool.kind == "prepend" else (att.k_r, att.v_r):
+                    h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        assert h.hexdigest() == SMALL_ADAPTER_DIGESTS[mode]
 
     def test_empty_stream_rejected(self, small_encoder):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Adapter training loop, task pool, and calibrated inference."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from resadapt.backbone import (
     EncoderSpec,
     class_embeddings,
     encode,
+    encode_backward,
+    encode_with_cache,
 )
 from resadapt import learner
 from resadapt.bench.stream import StreamSpec, gen_stream
-from resadapt.errors import ConfigError, ContractError, ShapeError
+from resadapt.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from resadapt.learner import (
     AdapterMode,
     AdapterSet,
@@ -148,6 +151,15 @@ class TestTrainConfig:
             {"adapter_depth": 0},
             {"k_bound": -0.1},
             {"seed": -1},
+            {"lr0": math.nan},
+            {"lr0": math.inf},
+            {"logit_scale": math.nan},
+            {"logit_scale": math.inf},
+            {"ridge": math.nan},
+            {"ridge": math.inf},
+            {"k_bound": math.nan},
+            {"k_bound": math.inf},
+            {"k_bound": 1e308},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -191,7 +203,16 @@ class TestAdapterMode:
         assert mode.init_bound == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
-        "text", ["iki-ablation:nope", "iki-ablation:-0.1", "frobnicate", ""]
+        "text",
+        [
+            "iki-ablation:nope",
+            "iki-ablation:-0.1",
+            "iki-ablation:nan",
+            "iki-ablation:inf",
+            "iki-ablation:1e308",
+            "frobnicate",
+            "",
+        ],
     )
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ConfigError):
@@ -300,6 +321,62 @@ class TestTrainTask:
                 cfg,
                 make_rng(0),
             )
+
+    @pytest.mark.parametrize(
+        "mode_text,adapter_depth",
+        [("iki", 2), ("iki", 1), ("iki-ablation:0.3", 2), ("prepend", 2)],
+    )
+    def test_equals_training_that_encodes_every_step_from_ids(
+        self, small_stream, small_encoder, mode_text, adapter_depth
+    ):
+        # train_task computes layer 0 once per task; the oracle below is the
+        # same loop encoding every batch from its token ids. 32 rows in
+        # batches of 12 leave a short last batch.
+        task = small_stream[0]
+        cfg = dataclasses.replace(SMALL_CFG, batch=12, adapter_depth=adapter_depth)
+        mode = AdapterMode.parse(mode_text)
+        got = train_task(
+            task.train_ids, task.train_labels, task.class_templates, small_encoder, cfg,
+            make_rng(4, 7, 0), mode,
+        )
+        rng = make_rng(4, 7, 0)
+        img = learner._init_attachments(mode, cfg, small_encoder.image.d, rng)
+        txt = learner._init_attachments(mode, cfg, small_encoder.text.d, rng)
+        template_ids = np.stack([c.token_ids() for c in task.class_templates])
+        n = len(task.train_labels)
+        total = cfg.epochs * math.ceil(n / cfg.batch)
+        step = 0
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch):
+                idx = perm[start : start + cfg.batch]
+                lr = cosine_lr(step, total, cfg.lr0)
+                f_img, c_img = encode_with_cache(task.train_ids[idx], small_encoder.image, img, 1.0)
+                f_txt, c_txt = encode_with_cache(template_ids, small_encoder.text, txt, 1.0)
+                logits = cfg.logit_scale * (f_img @ f_txt.T)
+                _, d = learner.batch_cross_entropy(logits, task.train_labels[idx])
+                d_img = cfg.logit_scale * (d @ f_txt)
+                d_txt = cfg.logit_scale * (d.T @ f_img)
+                img = learner._sgd_step(img, encode_backward(c_img, d_img), lr)
+                txt = learner._sgd_step(txt, encode_backward(c_txt, d_txt), lr)
+                step += 1
+        want = AdapterSet(image_adapters=tuple(img), text_adapters=tuple(txt))
+        assert _adapter_bytes(got) == _adapter_bytes(want)
+
+    def test_huge_learning_rate_diverges_at_step_1(self, small_encoder):
+        # One full batch per epoch: step 0 makes the adapters huge but
+        # finite; the forward of step 1 overflows and its loss is NaN.
+        stream = gen_stream(
+            StreamSpec(num_tasks=2, classes_per_task=2, samples_per_class=10, vocab=64)
+        )
+        task = stream[0]
+        cfg = TrainConfig(lr0=1e300, epochs=2, batch=64)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            train_task(
+                task.train_ids, task.train_labels, task.class_templates, small_encoder, cfg,
+                make_rng(0, 23, 0),
+            )
+        assert exc.value.step == 1
 
 
 class TestTaskStats:
