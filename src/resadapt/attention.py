@@ -2,17 +2,20 @@
 
 Three forward flavors over a frozen attention layer:
 
-  frozen_forward    the layer as shipped, no trainable parts
-  prepend_forward   learned prompt rows concatenated before the input,
-                    full self-attention, prompt output rows discarded
-  residual_forward  a separate attention readout over learned keys K_r and
-                    values V_r, added to the frozen output scaled by w
+  frozen_attn_with_cache    the layer as shipped, no trainable parts
+  prepend_attn_with_cache   learned prompt rows concatenated before the
+                            input, full self-attention, prompt output rows
+                            discarded
+  residual_attn_with_cache  a separate attention readout over learned keys
+                            K_r and values V_r, added to the frozen output
+                            scaled by w
 
-The residual branch with V_r = 0 contributes an exactly-zero matrix, so a
+Each returns (out, cache); the cache feeds the matching backward. The
+residual branch with V_r = 0 contributes an exactly-zero matrix, so a
 freshly initialized adapter leaves the layer output bit-identical to the
-frozen one at any weight w. All forwards accept a single (L, d) sequence
-or a batched (B, L, d) stack; backward helpers return parameter gradients
-summed over the batch.
+frozen one at any weight w. Every forward takes a batch (B, L, d) of
+sequences, a single sequence being a batch of one; backward helpers return
+parameter gradients summed over the batch.
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ def random_frozen_attention(d: int, rng: np.random.Generator) -> FrozenAttention
     )
 
 
+def _check_init(l: int, d: int, bound: float) -> None:
+    if l < 1 or d < 1:
+        raise ShapeError("adapter dims must be positive")
+    # Draws are uniform on [-bound, bound): its width 2 * bound must be
+    # finite. Written so that NaN fails it.
+    if not (bound >= 0.0 and np.isfinite(2.0 * bound)):
+        raise ContractError(f"bound must be non-negative with 2 * bound finite, got {bound}")
+
+
 def init_adapter(l: int, d: int, bound: float, rng: np.random.Generator) -> Adapter:
     """Fresh adapter: k_r uniform on [-bound, bound), v_r all zeros.
 
@@ -116,10 +128,7 @@ def init_adapter(l: int, d: int, bound: float, rng: np.random.Generator) -> Adap
     new adapter cannot disturb the frozen model. The uniform keys break
     the gradient degeneracy that an all-zero start would suffer from.
     """
-    if l < 1 or d < 1:
-        raise ShapeError("adapter dims must be positive")
-    if bound < 0.0:
-        raise ContractError("bound must be non-negative")
+    _check_init(l, d, bound)
     k_r = rng.uniform(-bound, bound, size=(l, d))
     return Adapter(k_r=k_r, v_r=np.zeros((l, d)))
 
@@ -130,28 +139,18 @@ def init_adapter_ablation(l: int, d: int, bound: float, rng: np.random.Generator
     Nonzero values mean the branch perturbs the frozen output from step
     zero; exists to measure what zero-init buys.
     """
-    if l < 1 or d < 1:
-        raise ShapeError("adapter dims must be positive")
-    if bound < 0.0:
-        raise ContractError("bound must be non-negative")
+    _check_init(l, d, bound)
     return Adapter(
         k_r=rng.uniform(-bound, bound, size=(l, d)),
         v_r=rng.uniform(-bound, bound, size=(l, d)),
     )
 
 
-def _check_seq(x: np.ndarray, d: int, what: str = "input") -> np.ndarray:
+def _check_seq(x: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != d:
-        raise ShapeError(f"{what} must be (L, {d}) or (B, L, {d}), got {x.shape}")
+    if x.ndim != 3 or x.shape[-1] != d:
+        raise ShapeError(f"input must be (B, L, {d}), got {x.shape}")
     return x
-
-
-def _sum_batch(g: np.ndarray) -> np.ndarray:
-    # Parameter gradients are shared across a batch; collapse leading axes.
-    if g.ndim == 2:
-        return g
-    return g.reshape(-1, g.shape[-2], g.shape[-1]).sum(axis=0)
 
 
 @dataclass
@@ -173,6 +172,7 @@ class FrozenCache:
 
 
 def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarray, FrozenCache]:
+    """softmax(Q K^T / sqrt(d)) V with Q = x W_q + b_q etc., over (B, L, d) x."""
     x = _check_seq(x, p.d)
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
     q = x @ p.w_q + p.b_q
@@ -194,12 +194,6 @@ def frozen_attn_backward(cache: FrozenCache, d_out: np.ndarray) -> np.ndarray:
     d_q = (d_scores @ cache.k) * inv_sqrt_d
     d_k = (np.swapaxes(d_scores, -1, -2) @ cache.q) * inv_sqrt_d
     return d_q @ p.w_q.T + d_k @ p.w_k.T + d_v @ p.w_v.T
-
-
-def frozen_forward(x: np.ndarray, p: FrozenAttention) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d)) V with Q = x W_q + b_q etc."""
-    out, _ = frozen_attn_with_cache(x, p)
-    return out
 
 
 @dataclass
@@ -225,10 +219,10 @@ def _check_weight(w) -> np.ndarray | float:
 
 
 def _broadcast_weight(w, out_r: np.ndarray):
-    # Scalar w, or one weight per batch element for (B, L, d) inputs.
+    # Scalar w, or one weight per batch element.
     if isinstance(w, float):
         return w
-    if out_r.ndim != 3 or w.shape != (out_r.shape[0],):
+    if w.shape != (out_r.shape[0],):
         raise ShapeError(f"per-sample weights {w.shape} do not match batch {out_r.shape}")
     return w[:, None, None]
 
@@ -254,6 +248,11 @@ def residual_readout(fc: FrozenCache, a: Adapter, w) -> tuple[np.ndarray, Residu
 def residual_attn_with_cache(
     x: np.ndarray, p: FrozenAttention, a: Adapter, w
 ) -> tuple[np.ndarray, ResidualCache]:
+    """Frozen output plus w times the adapter readout softmax(Q k_r^T / sqrt(d)) v_r.
+
+    The frozen term is frozen_attn_with_cache's own output, so with v_r = 0
+    the result is bit-identical to the frozen layer.
+    """
     _, fc = frozen_attn_with_cache(x, p)
     return residual_readout(fc, a, w)
 
@@ -273,10 +272,10 @@ def residual_attn_backward(
     a = cache.a
     inv_sqrt_d = 1.0 / np.sqrt(fc.p.d)
     wd = _broadcast_weight(cache.w, d_out) * d_out
-    d_v_r = _sum_batch(np.swapaxes(cache.attn_r, -1, -2) @ wd)
+    d_v_r = (np.swapaxes(cache.attn_r, -1, -2) @ wd).sum(axis=0)
     d_attn_r = wd @ a.v_r.T
     d_scores_r = softmax_backward(cache.attn_r, d_attn_r)
-    d_k_r = _sum_batch(np.swapaxes(d_scores_r, -1, -2) @ fc.q) * inv_sqrt_d
+    d_k_r = (np.swapaxes(d_scores_r, -1, -2) @ fc.q).sum(axis=0) * inv_sqrt_d
     if not input_grad:
         return None, d_k_r, d_v_r
     d_q_r = (d_scores_r @ a.k_r) * inv_sqrt_d
@@ -284,20 +283,10 @@ def residual_attn_backward(
     return d_x, d_k_r, d_v_r
 
 
-def residual_forward(x: np.ndarray, p: FrozenAttention, a: Adapter, w) -> np.ndarray:
-    """Frozen output plus w times the adapter readout softmax(Q k_r^T / sqrt(d)) v_r.
-
-    The frozen term is computed by the same code path as frozen_forward,
-    so with v_r = 0 the result is bit-identical to the frozen layer.
-    """
-    out, _ = residual_attn_with_cache(x, p, a, w)
-    return out
-
-
 def adapter_grads(
     x: np.ndarray, p: FrozenAttention, a: Adapter, w, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of <d_out, residual_forward(x, p, a, w)> in (k_r, v_r).
+    """Analytic gradients of <d_out, residual_attn_with_cache(x, p, a, w)[0]> in (k_r, v_r).
 
     d_v_r = w A^T d_out with A the residual attention matrix; d_k_r routes
     w d_out through the values and the softmax Jacobian back to the keys.
@@ -319,32 +308,25 @@ class PrependCache:
 def prepend_attn_with_cache(
     x: np.ndarray, p: FrozenAttention, prompt: PromptBaseline
 ) -> tuple[np.ndarray, PrependCache]:
+    """Self-attention over [prompt; x], keeping only the last L output rows.
+
+    Every kept row attends over prompt and input rows jointly, so a nonzero
+    prompt changes the output; there is no weight that turns it off.
+    """
     if prompt.d != p.d:
         raise ShapeError(f"prompt width {prompt.d} does not match layer width {p.d}")
     x = _check_seq(x, p.d)
-    rows = prompt.p
-    if x.ndim == 3:
-        rows = np.broadcast_to(rows, (x.shape[0],) + rows.shape)
+    rows = np.broadcast_to(prompt.p, (x.shape[0],) + prompt.p.shape)
     x_cat = np.concatenate([rows, x], axis=-2)
     out_cat, fc = frozen_attn_with_cache(x_cat, p)
-    return out_cat[..., prompt.l :, :], PrependCache(frozen=fc, l=prompt.l)
+    return out_cat[:, prompt.l :, :], PrependCache(frozen=fc, l=prompt.l)
 
 
 def prepend_attn_backward(
     cache: PrependCache, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through the prepend layer: returns (d_x, d_prompt)."""
-    pad_shape = d_out.shape[:-2] + (cache.l,) + d_out.shape[-1:]
-    d_cat = np.concatenate([np.zeros(pad_shape), d_out], axis=-2)
+    b, _, d = d_out.shape
+    d_cat = np.concatenate([np.zeros((b, cache.l, d)), d_out], axis=-2)
     d_x_cat = frozen_attn_backward(cache.frozen, d_cat)
-    return d_x_cat[..., cache.l :, :], _sum_batch(d_x_cat[..., : cache.l, :])
-
-
-def prepend_forward(x: np.ndarray, p: FrozenAttention, prompt: PromptBaseline) -> np.ndarray:
-    """Self-attention over [prompt; x], keeping only the last L output rows.
-
-    Every kept row attends over prompt and input rows jointly, so a nonzero
-    prompt changes the output; there is no weight that turns it off.
-    """
-    out, _ = prepend_attn_with_cache(x, p, prompt)
-    return out
+    return d_x_cat[:, cache.l :, :], d_x_cat[:, : cache.l, :].sum(axis=0)

@@ -6,7 +6,8 @@ positions and L2-normalized. Image-like inputs are token sequences; the
 text side encodes 4-token class templates (3 fixed prefix tokens plus one
 class token). Adapters or prompts may be attached to the first layers of a
 stack; with fresh residual adapters the encoder output is bit-identical to
-the frozen one.
+the frozen one. Every encoder function takes a batch of (B, L) token ids,
+a single sequence being a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .attention import (
     Adapter,
     FrozenAttention,
     FrozenCache,
+    PrependCache,
     PromptBaseline,
+    ResidualCache,
     frozen_attn_backward,
     frozen_attn_with_cache,
     prepend_attn_backward,
@@ -121,8 +124,8 @@ class EncoderSpec:
 
 def _check_ids(token_ids, vocab: int) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim not in (1, 2):
-        raise ShapeError(f"token ids must be 1-D or 2-D, got shape {ids.shape}")
+    if ids.ndim != 2:
+        raise ShapeError(f"token ids must be (B, L), got shape {ids.shape}")
     if ids.size == 0:
         raise ShapeError("empty token sequence")
     if np.any(ids < 0) or np.any(ids >= vocab):
@@ -132,8 +135,8 @@ def _check_ids(token_ids, vocab: int) -> np.ndarray:
 
 @dataclass
 class EncodeCache:
-    layer_caches: list  # one cache per layer, tagged by branch kind
-    kinds: list[str]
+    layer_caches: list  # one FrozenCache, ResidualCache or PrependCache per layer
+    seq_len: int
     norms: np.ndarray
     feats: np.ndarray
 
@@ -144,17 +147,15 @@ def _apply_layer(x, layer, attach, w, fc):
         if not isinstance(attach, Adapter):
             raise ContractError("a layer-0 cache serves only a residual adapter on layer 0")
         out, cache = residual_readout(fc, attach, w)
-        return x + out, cache, "residual"
-    if attach is None:
+    elif attach is None:
         out, cache = frozen_attn_with_cache(x, layer)
-        return x + out, cache, "frozen"
-    if isinstance(attach, Adapter):
+    elif isinstance(attach, Adapter):
         out, cache = residual_attn_with_cache(x, layer, attach, w)
-        return x + out, cache, "residual"
-    if isinstance(attach, PromptBaseline):
+    elif isinstance(attach, PromptBaseline):
         out, cache = prepend_attn_with_cache(x, layer, attach)
-        return x + out, cache, "prepend"
-    raise ContractError(f"unsupported per-layer attachment {type(attach).__name__}")
+    else:
+        raise ContractError(f"unsupported per-layer attachment {type(attach).__name__}")
+    return x + out, cache
 
 
 def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
@@ -192,18 +193,17 @@ def encode_with_cache(
         raise ContractError("layer0 is not the layer-0 cache of these token ids in this stack")
     else:
         x = layer0.x
-    caches, kinds = [], []
+    caches = []
     for i, layer in enumerate(stack.layers):
         attach = adapters[i] if adapters is not None and i < len(adapters) else None
-        x, cache, kind = _apply_layer(x, layer, attach, w, layer0 if i == 0 else None)
+        x, cache = _apply_layer(x, layer, attach, w, layer0 if i == 0 else None)
         caches.append(cache)
-        kinds.append(kind)
     pooled = x.mean(axis=-2)
     norms = np.linalg.norm(pooled, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ContractError("pooled feature has zero norm, cannot normalize")
     feats = pooled / norms
-    return feats, EncodeCache(layer_caches=caches, kinds=kinds, norms=norms, feats=feats)
+    return feats, EncodeCache(layer_caches=caches, seq_len=x.shape[-2], norms=norms, feats=feats)
 
 
 def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
@@ -219,17 +219,14 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
     inner = (f * d_feats).sum(axis=-1, keepdims=True)
     d_pooled = (d_feats - f * inner) / cache.norms
     # Through the mean pool: every position receives d_pooled / L.
-    seq_len = cache.layer_caches[-1].out.shape[-2] if cache.kinds[-1] != "prepend" else None
-    if seq_len is None:
-        seq_len = cache.layer_caches[-1].frozen.x.shape[-2] - cache.layer_caches[-1].l
-    d_x = np.repeat(np.expand_dims(d_pooled / seq_len, -2), seq_len, axis=-2)
+    d_x = np.repeat(np.expand_dims(d_pooled / cache.seq_len, -2), cache.seq_len, axis=-2)
     grads: list = [None] * len(cache.layer_caches)
     for i in range(len(cache.layer_caches) - 1, -1, -1):
-        kind, layer_cache = cache.kinds[i], cache.layer_caches[i]
-        if kind == "residual":
+        layer_cache = cache.layer_caches[i]
+        if isinstance(layer_cache, ResidualCache):
             d_attn_in, d_k_r, d_v_r = residual_attn_backward(layer_cache, d_x, input_grad=i > 0)
             grads[i] = (d_k_r, d_v_r)
-        elif kind == "prepend":
+        elif isinstance(layer_cache, PrependCache):
             # The prompt's gradient needs the full frozen backward at any layer.
             d_attn_in, grads[i] = prepend_attn_backward(layer_cache, d_x)
         elif i > 0:
@@ -246,12 +243,11 @@ def encode(
     adapters: Sequence[Adapter | PromptBaseline] | None = None,
     w=1.0,
 ) -> np.ndarray:
-    """Unit-norm feature of a token sequence (or a batch of them).
+    """Unit-norm features (B, d) of a batch of (B, L) token ids.
 
-    token_ids may be (L,) for a single sequence or (B, L) for a batch; the
-    result is (d,) or (B, d). For batches, w may be one weight per sample.
-    Raises ContractError if a feature is not finite, which attachments
-    that overflow the encoder cause.
+    w is one weight for every sample or one weight per sample. Raises
+    ContractError if a feature is not finite, which attachments that
+    overflow the encoder cause.
     """
     feats, _ = encode_with_cache(token_ids, stack, adapters, w)
     if not np.all(np.isfinite(feats)):

@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..backbone import EncoderSpec
 from ..errors import ConfigError, ContractError, DivergenceError, ShapeError
 from ..learner import AdapterMode, TaskPool
@@ -174,7 +176,10 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        # Overflow is reported once, by the explicit checks: DivergenceError
+        # for a non-finite loss, ContractError for non-finite features.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except (ConfigError, ContractError, ShapeError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from ..attention import (
     adapter_grads,
     init_adapter,
     random_frozen_attention,
-    residual_forward,
+    residual_attn_with_cache,
 )
 from ..backbone import build_dual_encoder, encode
 from ..learner import TrainConfig
@@ -55,18 +55,17 @@ def verify_zero_init_identity(seed: int = 0, n_inputs: int = 100) -> VerifyRepor
     rng = make_rng(seed, 41)
     cfg = TrainConfig()
     worst = 0.0
+    # One batch per (depth, stack) group, each sample at its own weight.
     for depth in (1, 2):
         for stack in (enc.image, enc.text):
-            for _ in range(n_inputs // 4):
-                ids = rng.integers(0, stack.vocab, size=8)
-                adapters = [
-                    init_adapter(cfg.prompt_len, stack.d, cfg.k_bound, rng)
-                    for _ in range(depth)
-                ]
-                w = float(rng.uniform(0.0, 1.0))
-                plain = encode(ids, stack)
-                adapted = encode(ids, stack, adapters, w)
-                worst = max(worst, float(np.max(np.abs(adapted - plain))))
+            ids = rng.integers(0, stack.vocab, size=(n_inputs // 4, 8))
+            adapters = [
+                init_adapter(cfg.prompt_len, stack.d, cfg.k_bound, rng) for _ in range(depth)
+            ]
+            w = rng.uniform(0.0, 1.0, size=n_inputs // 4)
+            plain = encode(ids, stack)
+            adapted = encode(ids, stack, adapters, w)
+            worst = max(worst, float(np.max(np.abs(adapted - plain))))
     report.check(
         f"fresh adapters leave {n_inputs} random encodings unchanged",
         worst <= 1e-12,
@@ -92,27 +91,20 @@ def verify_gradcheck(trials: int = 50, seed: int = 0, h: float = 1e-5) -> Verify
         l = int(rng.integers(1, 5))
         d = int(rng.integers(2, 8))
         p = random_frozen_attention(d, rng)
-        x = rng.normal(0.0, 1.0, size=(seq_len, d))
+        x = rng.normal(0.0, 1.0, size=(1, seq_len, d))
         a = Adapter(k_r=rng.normal(0.0, 0.5, size=(l, d)), v_r=rng.normal(0.0, 0.5, size=(l, d)))
         if trial % 7 == 0:
             a = Adapter(k_r=a.k_r, v_r=np.zeros((l, d)))  # fresh-value corner
         w = 0.0 if trial % 11 == 0 else float(rng.uniform(0.0, 1.0))
-        d_out = rng.normal(0.0, 1.0, size=(seq_len, d))
+        d_out = rng.normal(0.0, 1.0, size=(1, seq_len, d))
         g_k, g_v = adapter_grads(x, p, a, w, d_out)
-        fd_k = finite_diff_grad(
-            lambda k_mat: float(
-                (d_out * residual_forward(x, p, Adapter(k_r=k_mat, v_r=a.v_r), w)).sum()
-            ),
-            a.k_r,
-            h,
-        )
-        fd_v = finite_diff_grad(
-            lambda v_mat: float(
-                (d_out * residual_forward(x, p, Adapter(k_r=a.k_r, v_r=v_mat), w)).sum()
-            ),
-            a.v_r,
-            h,
-        )
+
+        def loss(k_r: np.ndarray, v_r: np.ndarray) -> float:
+            out, _ = residual_attn_with_cache(x, p, Adapter(k_r=k_r, v_r=v_r), w)
+            return float((d_out * out).sum())
+
+        fd_k = finite_diff_grad(lambda k_mat: loss(k_mat, a.v_r), a.k_r, h)
+        fd_v = finite_diff_grad(lambda v_mat: loss(a.k_r, v_mat), a.v_r, h)
         worst = max(worst, _rel_err(g_k, fd_k), _rel_err(g_v, fd_v))
     report.check(
         f"{trials} random instances, analytic vs central differences",
@@ -140,12 +132,12 @@ def verify_degenerate_init(
     l, d, seq_len = dims
     rng = make_rng(seed, 43)
     p = random_frozen_attention(d, rng)
-    x = rng.normal(0.0, 1.0, size=(seq_len, d))
-    target = rng.normal(0.0, 1.0, size=(seq_len, d))
+    x = rng.normal(0.0, 1.0, size=(1, seq_len, d))
+    target = rng.normal(0.0, 1.0, size=(1, seq_len, d))
     lr = 0.2
 
     def loss_and_grad(a: Adapter) -> tuple[float, np.ndarray, np.ndarray]:
-        out = residual_forward(x, p, a, 1.0)
+        out, _ = residual_attn_with_cache(x, p, a, 1.0)
         diff = out - target
         g_k, g_v = adapter_grads(x, p, a, 1.0, diff)
         return 0.5 * float((diff * diff).sum()), g_k, g_v

@@ -138,10 +138,7 @@ def estimate_task_stats(train_ids: np.ndarray, enc: DualEncoder, ridge: float = 
     consulted), so the statistics describe the frozen representation that
     inference-time selection will also see.
     """
-    feats = encode(train_ids, enc.image)
-    if feats.ndim == 1:
-        feats = feats[None, :]
-    return fit_gaussian(feats, ridge)
+    return fit_gaussian(encode(train_ids, enc.image), ridge)
 
 
 def _init_attachments(mode: AdapterMode, cfg: TrainConfig, d: int, rng: np.random.Generator) -> list:
@@ -292,8 +289,7 @@ def classify(
     einsums, not 2-D matmuls: BLAS sums a one-row product (gemv) and a
     larger one (gemm) in different orders.
     """
-    template_ids = np.stack([c.token_ids() for c in candidate_classes])
-    k = template_ids.shape[0]
+    k = len(candidate_classes)
     class_idx = np.zeros(ids.shape[0], dtype=np.int64)
     for t in np.unique(task_idx):
         mask = task_idx == t
@@ -309,7 +305,9 @@ def classify(
             # templates once per distinct weight, then gather per sample.
             w_unique, inverse = np.unique(w_group, return_inverse=True)
             text = np.stack([
-                encode(template_ids, enc.text, entry.adapters.text_adapters, np.full(k, w))
+                class_embeddings(
+                    candidate_classes, enc.text, entry.adapters.text_adapters, np.full(k, w)
+                )
                 for w in w_unique
             ])
             block = np.einsum("bd,bkd->bk", feats, text[inverse])
@@ -331,19 +329,15 @@ def infer_batch(
     through the sigmoid, sets the weight w applied to the selected adapters
     on BOTH encoders (w is pinned to 1 with calibrate=False and for prompt
     pools). Returns (class_idx, task_idx, weight) arrays: route() on the
-    frozen features, then classify() through the routed entries. The
-    decision is an argmax of cosines, which a positive logit_scale cannot
-    change; any other scale is rejected.
+    frozen features, then classify() through the routed entries, as one
+    fresh InferState does. The decision is an argmax of cosines, which a
+    positive logit_scale cannot change; any other scale is rejected.
     """
     if not logit_scale > 0.0:
         raise ContractError("logit_scale must be positive")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ShapeError("infer_batch expects (B, L) token ids")
-    scores = score_entries(encode(ids, enc.image), pool.entries)
-    task_idx, weights = route(scores, pool, calibrate)
-    class_idx = classify(ids, task_idx, weights, pool, candidate_classes, enc)
-    return class_idx, task_idx, weights
+    state = InferState()
+    class_idx = state.infer(token_ids, pool, candidate_classes, enc, calibrate)
+    return class_idx, state.task_idx, state.weights
 
 
 @dataclass
@@ -353,11 +347,12 @@ class InferState:
     A pool entry never changes once stored, so a row's route moves only when
     a newly appended entry outscores every older one, and its decision is
     fixed by its route. The state keeps the batch's frozen features, one
-    log-density column per entry already scored, and the last routes and
-    decisions; each call scores only new entries and re-classifies only the
-    rows whose route changed. Decisions equal a fresh infer_batch on the
-    same pool, bit for bit. The first call binds the state to its inputs;
-    later calls must pass the same ones and a pool that extends the last.
+    log-density column per entry already scored, and the last routes,
+    weights and decisions; each call scores only new entries and
+    re-classifies only the rows whose route changed. Decisions equal those
+    of a fresh state on the same pool, bit for bit. The first call binds the
+    state to its inputs; later calls must pass the same ones and a pool that
+    extends the last.
     """
 
     inputs: tuple = ()  # (token_ids, enc, classes, calibrate) of the first call
@@ -366,6 +361,7 @@ class InferState:
     scores: np.ndarray | None = None  # (B, len(scored)) log densities
     scored: list[PoolEntry] = field(default_factory=list)
     task_idx: np.ndarray | None = None
+    weights: np.ndarray | None = None
     class_idx: np.ndarray | None = None
 
     def infer(
@@ -383,8 +379,6 @@ class InferState:
         inputs = (token_ids, enc, tuple(candidate_classes), bool(calibrate))
         if self.ids is None:
             ids = np.asarray(token_ids, dtype=np.int64)
-            if ids.ndim != 2:
-                raise ShapeError("InferState expects (B, L) token ids")
             self.frozen_feats = encode(ids, enc.image)
             self.inputs, self.ids = inputs, ids
             self.scores = np.empty((ids.shape[0], 0))
@@ -404,5 +398,5 @@ class InferState:
             self.class_idx[moved] = classify(
                 self.ids[moved], task_idx[moved], weights[moved], pool, candidate_classes, enc
             )
-        self.task_idx = task_idx
+        self.task_idx, self.weights = task_idx, weights
         return self.class_idx.copy()

@@ -12,19 +12,29 @@ from resadapt.attention import (
     FrozenAttention,
     PromptBaseline,
     adapter_grads,
-    frozen_forward,
+    frozen_attn_with_cache,
     init_adapter,
     init_adapter_ablation,
-    prepend_forward,
-    frozen_attn_with_cache,
+    prepend_attn_with_cache,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
-    residual_forward,
     residual_readout,
 )
 from resadapt.errors import ContractError, ShapeError
 from resadapt.numkernel import finite_diff_grad, make_rng, softmax_rows
+
+
+def frozen(x, p):
+    return frozen_attn_with_cache(x, p)[0]
+
+
+def residual(x, p, a, w):
+    return residual_attn_with_cache(x, p, a, w)[0]
+
+
+def prepend(x, p, prompt):
+    return prepend_attn_with_cache(x, p, prompt)[0]
 
 
 def naive_attention(x, w_q, w_k, w_v, b_q, b_k, b_v):
@@ -50,15 +60,15 @@ def test_frozen_zero_input_zero_bias():
         w_q=np.zeros((d, d)), w_k=np.zeros((d, d)), w_v=np.zeros((d, d)),
         b_q=np.zeros(d), b_k=np.zeros(d), b_v=np.zeros(d),
     )
-    out = frozen_forward(np.zeros((2, d)), p)
-    assert np.array_equal(out, np.zeros((2, d)))
+    out = frozen(np.zeros((1, 2, d)), p)
+    assert np.array_equal(out, np.zeros((1, 2, d)))
 
 
 def test_frozen_single_token_returns_value_row():
     rng = make_rng(1)
     p = random_frozen_attention(4, rng)
-    x = rng.normal(size=(1, 4))
-    out = frozen_forward(x, p)
+    x = rng.normal(size=(1, 1, 4))
+    out = frozen(x, p)
     v = x @ p.w_v + p.b_v
     assert np.allclose(out, v, atol=1e-15)
 
@@ -66,24 +76,40 @@ def test_frozen_single_token_returns_value_row():
 def test_frozen_matches_naive_oracle():
     rng = make_rng(2)
     p = random_frozen_attention(5, rng)
-    x = rng.normal(size=(3, 5))
-    ours = frozen_forward(x, p)
-    theirs = naive_attention(x, p.w_q, p.w_k, p.w_v, p.b_q, p.b_k, p.b_v)
-    assert np.allclose(ours, theirs, atol=1e-12)
+    x = rng.normal(size=(1, 3, 5))
+    ours = frozen(x, p)
+    theirs = naive_attention(x[0], p.w_q, p.w_k, p.w_v, p.b_q, p.b_k, p.b_v)
+    assert np.allclose(ours[0], theirs, atol=1e-12)
 
 
 def test_frozen_shape_mismatch():
     p = random_frozen_attention(4, make_rng(3))
     with pytest.raises(ShapeError):
-        frozen_forward(np.zeros((2, 5)), p)
+        frozen(np.zeros((1, 2, 5)), p)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1, 3, 4)])
+@pytest.mark.parametrize("branch", ["frozen", "residual", "prepend"])
+def test_input_must_be_a_batch(shape, branch):
+    # A single sequence is a batch of one: (1, L, d), not (L, d).
+    rng = make_rng(3)
+    p = random_frozen_attention(4, rng)
+    x = rng.normal(size=shape)
+    with pytest.raises(ShapeError):
+        if branch == "frozen":
+            frozen(x, p)
+        elif branch == "residual":
+            residual(x, p, init_adapter(2, 4, 0.02, rng), 1.0)
+        else:
+            prepend(x, p, PromptBaseline(p=rng.normal(size=(2, 4))))
 
 
 def test_frozen_batch_equals_per_sample_loop():
     rng = make_rng(4)
     p = random_frozen_attention(4, rng)
     xb = rng.normal(size=(6, 3, 4))
-    batch = frozen_forward(xb, p)
-    looped = np.stack([frozen_forward(xb[i], p) for i in range(6)])
+    batch = frozen(xb, p)
+    looped = np.concatenate([frozen(xb[i : i + 1], p) for i in range(6)])
     assert np.allclose(batch, looped, atol=1e-13)
 
 
@@ -93,11 +119,11 @@ def test_frozen_batch_equals_per_sample_loop():
 def test_prepend_duplicated_rows_equals_frozen_tail():
     rng = make_rng(5)
     p = random_frozen_attention(4, rng)
-    x = rng.normal(size=(2, 4))
-    prompt = PromptBaseline(p=x.copy())
-    out = prepend_forward(x, p, prompt)
-    full = frozen_forward(np.concatenate([x, x]), p)
-    assert np.allclose(out, full[2:], atol=1e-14)
+    x = rng.normal(size=(1, 2, 4))
+    prompt = PromptBaseline(p=x[0].copy())
+    out = prepend(x, p, prompt)
+    full = frozen(np.concatenate([x, x], axis=1), p)
+    assert np.allclose(out, full[:, 2:], atol=1e-14)
 
 
 def test_prepend_scalar_closed_form():
@@ -106,17 +132,17 @@ def test_prepend_scalar_closed_form():
         w_q=np.array([[1.3]]), w_k=np.array([[-0.7]]), w_v=np.array([[2.0]]),
         b_q=np.array([0.1]), b_k=np.array([0.2]), b_v=np.array([-0.3]),
     )
-    x = np.array([[0.5]])
+    x = np.array([[[0.5]]])
     prompt = PromptBaseline(p=np.array([[-1.1]]))
-    q = x[0, 0] * 1.3 + 0.1
+    q = x[0, 0, 0] * 1.3 + 0.1
     k_p = -1.1 * -0.7 + 0.2
     k_x = 0.5 * -0.7 + 0.2
     v_p = -1.1 * 2.0 - 0.3
     v_x = 0.5 * 2.0 - 0.3
     a = softmax_rows(np.array([[q * k_p, q * k_x]]))[0]
     expected = a[0] * v_p + a[1] * v_x
-    out = prepend_forward(x, p, prompt)
-    assert abs(out[0, 0] - expected) < 1e-12
+    out = prepend(x, p, prompt)
+    assert abs(out[0, 0, 0] - expected) < 1e-12
 
 
 def test_prepend_interferes_with_frozen_output():
@@ -125,9 +151,9 @@ def test_prepend_interferes_with_frozen_output():
     p = random_frozen_attention(4, rng)
     worst = 0.0
     for _ in range(100):
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(1, 3, 4))
         prompt = PromptBaseline(p=rng.normal(size=(2, 4)))
-        dev = np.abs(prepend_forward(x, p, prompt) - frozen_forward(x, p)).max()
+        dev = np.abs(prepend(x, p, prompt) - frozen(x, p)).max()
         worst = max(worst, dev)
     assert worst > 0.0
 
@@ -140,16 +166,16 @@ def test_residual_fresh_adapter_is_identity_any_weight():
     p = random_frozen_attention(6, rng)
     a = init_adapter(l=3, d=6, bound=0.02, rng=rng)
     for w in (0.0, 0.3, 1.0):
-        x = rng.normal(size=(4, 6))
-        assert np.array_equal(residual_forward(x, p, a, w), frozen_forward(x, p))
+        x = rng.normal(size=(1, 4, 6))
+        assert np.array_equal(residual(x, p, a, w), frozen(x, p))
 
 
 def test_residual_weight_zero_with_trained_adapter():
     rng = make_rng(8)
     p = random_frozen_attention(4, rng)
     a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
-    x = rng.normal(size=(3, 4))
-    assert np.allclose(residual_forward(x, p, a, 0.0), frozen_forward(x, p), atol=0.0)
+    x = rng.normal(size=(1, 3, 4))
+    assert np.allclose(residual(x, p, a, 0.0), frozen(x, p), atol=0.0)
 
 
 def test_residual_single_key_closed_form():
@@ -157,10 +183,10 @@ def test_residual_single_key_closed_form():
     rng = make_rng(9)
     p = random_frozen_attention(1, rng)
     a = Adapter(k_r=np.array([[0.4]]), v_r=np.array([[-2.5]]))
-    x = rng.normal(size=(3, 1))
+    x = rng.normal(size=(1, 3, 1))
     w = 0.7
-    out = residual_forward(x, p, a, w)
-    assert np.allclose(out, frozen_forward(x, p) + w * -2.5, atol=1e-14)
+    out = residual(x, p, a, w)
+    assert np.allclose(out, frozen(x, p) + w * -2.5, atol=1e-14)
 
 
 def test_residual_equal_keys_average_values():
@@ -169,9 +195,9 @@ def test_residual_equal_keys_average_values():
     k_row = rng.normal(size=3)
     v = rng.normal(size=(2, 3))
     a = Adapter(k_r=np.stack([k_row, k_row]), v_r=v)
-    x = rng.normal(size=(2, 3))
-    out = residual_forward(x, p, a, 1.0)
-    assert np.allclose(out, frozen_forward(x, p) + v.mean(axis=0), atol=1e-12)
+    x = rng.normal(size=(1, 2, 3))
+    out = residual(x, p, a, 1.0)
+    assert np.allclose(out, frozen(x, p) + v.mean(axis=0), atol=1e-12)
 
 
 def test_residual_weight_out_of_range():
@@ -179,9 +205,9 @@ def test_residual_weight_out_of_range():
     p = random_frozen_attention(3, rng)
     a = init_adapter(2, 3, 0.02, rng)
     with pytest.raises(ContractError):
-        residual_forward(rng.normal(size=(2, 3)), p, a, 1.5)
+        residual(rng.normal(size=(1, 2, 3)), p, a, 1.5)
     with pytest.raises(ContractError):
-        residual_forward(rng.normal(size=(2, 3)), p, a, -0.1)
+        residual(rng.normal(size=(1, 2, 3)), p, a, -0.1)
 
 
 @pytest.mark.parametrize("w", [float("nan"), np.float64("nan"), np.array(float("nan"))])
@@ -192,7 +218,7 @@ def test_residual_weight_nan_rejected(w):
     p = random_frozen_attention(3, rng)
     a = init_adapter(2, 3, 0.02, rng)
     with pytest.raises(ContractError):
-        residual_forward(rng.normal(size=(2, 3)), p, a, w)
+        residual(rng.normal(size=(1, 2, 3)), p, a, w)
 
 
 def test_residual_per_sample_weight_nan_rejected():
@@ -200,7 +226,7 @@ def test_residual_per_sample_weight_nan_rejected():
     p = random_frozen_attention(3, rng)
     a = init_adapter(2, 3, 0.02, rng)
     with pytest.raises(ContractError):
-        residual_forward(rng.normal(size=(3, 2, 3)), p, a, np.array([0.5, float("nan"), 1.0]))
+        residual(rng.normal(size=(3, 2, 3)), p, a, np.array([0.5, float("nan"), 1.0]))
 
 
 def test_readout_over_batch_cache_rows_bitwise_equal():
@@ -237,20 +263,20 @@ def test_residual_frozen_subresult_bitwise_equal():
     rng = make_rng(12)
     p = random_frozen_attention(4, rng)
     a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
-    x = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
     _, cache = residual_attn_with_cache(x, p, a, 0.6)
-    assert np.array_equal(cache.frozen.out, frozen_forward(x, p))
+    assert np.array_equal(cache.frozen.out, frozen(x, p))
 
 
 def test_residual_linearity_in_weight():
     rng = make_rng(13)
     p = random_frozen_attention(5, rng)
     a = Adapter(k_r=rng.normal(size=(2, 5)), v_r=rng.normal(size=(2, 5)))
-    x = rng.normal(size=(4, 5))
-    base = frozen_forward(x, p)
-    full = residual_forward(x, p, a, 1.0) - base
+    x = rng.normal(size=(1, 4, 5))
+    base = frozen(x, p)
+    full = residual(x, p, a, 1.0) - base
     for w in (0.0, 0.25, 0.5, 0.9):
-        assert np.allclose(residual_forward(x, p, a, w) - base, w * full, atol=1e-12)
+        assert np.allclose(residual(x, p, a, w) - base, w * full, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -265,8 +291,8 @@ def test_zero_init_identity_property(length, l, d, w, seed):
     rng = make_rng(seed)
     p = random_frozen_attention(d, rng)
     a = init_adapter(l, d, 0.02, rng)
-    x = rng.normal(size=(length, d))
-    dev = np.abs(residual_forward(x, p, a, w) - frozen_forward(x, p)).max()
+    x = rng.normal(size=(1, length, d))
+    dev = np.abs(residual(x, p, a, w) - frozen(x, p)).max()
     assert dev <= 1e-12
 
 
@@ -276,8 +302,8 @@ def test_residual_batch_equals_loop_and_per_sample_weights():
     a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
     xb = rng.normal(size=(5, 3, 4))
     ws = rng.uniform(0.0, 1.0, size=5)
-    batch = residual_forward(xb, p, a, ws)
-    looped = np.stack([residual_forward(xb[i], p, a, float(ws[i])) for i in range(5)])
+    batch = residual(xb, p, a, ws)
+    looped = np.concatenate([residual(xb[i : i + 1], p, a, float(ws[i])) for i in range(5)])
     assert np.allclose(batch, looped, atol=1e-13)
 
 
@@ -287,7 +313,7 @@ def test_residual_batch_equals_loop_and_per_sample_weights():
 def _loss_k(p, x, v_r, w, d_out):
     def f(theta):
         a = Adapter(k_r=theta.reshape(v_r.shape), v_r=v_r)
-        return float(np.sum(d_out * residual_forward(x, p, a, w)))
+        return float(np.sum(d_out * residual(x, p, a, w)))
 
     return f
 
@@ -295,7 +321,7 @@ def _loss_k(p, x, v_r, w, d_out):
 def _loss_v(p, x, k_r, w, d_out):
     def f(theta):
         a = Adapter(k_r=k_r, v_r=theta.reshape(k_r.shape))
-        return float(np.sum(d_out * residual_forward(x, p, a, w)))
+        return float(np.sum(d_out * residual(x, p, a, w)))
 
     return f
 
@@ -304,8 +330,8 @@ def test_adapter_grads_zero_values_kill_key_grad():
     rng = make_rng(15)
     p = random_frozen_attention(4, rng)
     a = init_adapter(2, 4, 0.5, rng)  # v_r = 0
-    x = rng.normal(size=(3, 4))
-    dk, dv = adapter_grads(x, p, a, 1.0, rng.normal(size=(3, 4)))
+    x = rng.normal(size=(1, 3, 4))
+    dk, dv = adapter_grads(x, p, a, 1.0, rng.normal(size=(1, 3, 4)))
     assert np.array_equal(dk, np.zeros_like(a.k_r))
     assert np.abs(dv).max() > 0.0
 
@@ -314,8 +340,8 @@ def test_adapter_grads_zero_weight_kills_both():
     rng = make_rng(16)
     p = random_frozen_attention(4, rng)
     a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
-    x = rng.normal(size=(3, 4))
-    dk, dv = adapter_grads(x, p, a, 0.0, rng.normal(size=(3, 4)))
+    x = rng.normal(size=(1, 3, 4))
+    dk, dv = adapter_grads(x, p, a, 0.0, rng.normal(size=(1, 3, 4)))
     assert np.array_equal(dk, np.zeros_like(dk))
     assert np.array_equal(dv, np.zeros_like(dv))
 
@@ -324,8 +350,8 @@ def test_adapter_grads_match_finite_differences():
     rng = make_rng(17)
     p = random_frozen_attention(4, rng)
     a = Adapter(k_r=rng.normal(size=(2, 4)) * 0.3, v_r=rng.normal(size=(2, 4)) * 0.3)
-    x = rng.normal(size=(3, 4))
-    d_out = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
+    d_out = rng.normal(size=(1, 3, 4))
     w = 0.8
     dk, dv = adapter_grads(x, p, a, w, d_out)
     num_k = finite_diff_grad(_loss_k(p, x, a.v_r, w, d_out), a.k_r.ravel(), 1e-5)
@@ -347,6 +373,14 @@ def test_init_adapter_bound_zero_fully_degenerate():
     assert np.array_equal(b.v_r, a.v_r)
 
 
+@pytest.mark.parametrize("init", [init_adapter, init_adapter_ablation])
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), 1e308, -0.5])
+def test_init_adapter_rejects_bad_bound(init, bound):
+    # Draws are uniform on [-bound, bound), so 2 * bound must be finite.
+    with pytest.raises(ContractError):
+        init(2, 3, bound, make_rng(18))
+
+
 def test_init_adapter_reproducible_and_in_range():
     a1 = init_adapter(4, 8, 0.02, make_rng(19))
     a2 = init_adapter(4, 8, 0.02, make_rng(19))
@@ -358,11 +392,11 @@ def test_init_adapter_reproducible_and_in_range():
 def test_ablation_init_breaks_identity_and_grows_with_bound():
     rng = make_rng(20)
     p = random_frozen_attention(4, rng)
-    x = make_rng(21).normal(size=(3, 4))
+    x = make_rng(21).normal(size=(1, 3, 4))
     devs = []
     for bound in (0.01, 1.0):
         a = init_adapter_ablation(2, 4, bound, make_rng(22))
-        devs.append(np.abs(residual_forward(x, p, a, 1.0) - frozen_forward(x, p)).max())
+        devs.append(np.abs(residual(x, p, a, 1.0) - frozen(x, p)).max())
     assert devs[0] > 0.0
     assert devs[1] > devs[0]
 

@@ -16,7 +16,7 @@ from resadapt.backbone import (
     encode_backward,
     layer0_cache,
 )
-from resadapt.errors import ContractError
+from resadapt.errors import ContractError, ShapeError
 from resadapt.numkernel import finite_diff_grad, make_rng
 
 
@@ -38,29 +38,38 @@ def test_towers_share_embedding_but_not_layers(small_encoder):
 
 
 def test_encode_unit_norm_and_deterministic(small_encoder):
-    ids = make_rng(0).integers(0, 64, size=6)
+    ids = make_rng(0).integers(0, 64, size=(1, 6))
     f1 = encode(ids, small_encoder.image)
     f2 = encode(ids, small_encoder.image)
+    assert f1.shape == (1, 8)
     assert np.array_equal(f1, f2)
-    assert abs(np.linalg.norm(f1) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(f1[0]) - 1.0) < 1e-12
 
 
 def test_encode_batch_matches_loop(small_encoder):
     ids = make_rng(1).integers(0, 64, size=(5, 6))
     batch = encode(ids, small_encoder.image)
-    looped = np.stack([encode(ids[i], small_encoder.image) for i in range(5)])
+    looped = np.concatenate([encode(ids[i : i + 1], small_encoder.image) for i in range(5)])
     assert np.allclose(batch, looped, atol=1e-13)
     assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("encoder", [encode, encode_with_cache, layer0_cache])
+@pytest.mark.parametrize("shape", [(6,), (1, 1, 6)])
+def test_ids_must_be_a_batch(small_encoder, encoder, shape):
+    # A single sequence is a batch of one: (1, L), not (L,).
+    with pytest.raises(ShapeError):
+        encoder(np.zeros(shape, dtype=np.int64), small_encoder.image)
+
+
 def test_encode_rejects_out_of_vocab(small_encoder):
     with pytest.raises(IndexError):
-        encode(np.array([0, 64]), small_encoder.image)
+        encode(np.array([[0, 64]]), small_encoder.image)
 
 
 def test_fresh_adapters_pass_through_any_depth(small_encoder):
     rng = make_rng(2)
-    ids = rng.integers(0, 64, size=6)
+    ids = rng.integers(0, 64, size=(1, 6))
     frozen = encode(ids, small_encoder.image)
     for depth in (1, 2):
         adapters = [init_adapter(4, 8, 0.02, rng) for _ in range(depth)]
@@ -71,7 +80,7 @@ def test_fresh_adapters_pass_through_any_depth(small_encoder):
 
 def test_trained_adapter_at_zero_weight_passes_through(small_encoder):
     rng = make_rng(3)
-    ids = rng.integers(0, 64, size=6)
+    ids = rng.integers(0, 64, size=(1, 6))
     trained = [Adapter(k_r=rng.normal(size=(4, 8)), v_r=rng.normal(size=(4, 8)))]
     frozen = encode(ids, small_encoder.image)
     assert np.allclose(encode(ids, small_encoder.image, trained, 0.0), frozen, atol=1e-15)
@@ -84,8 +93,8 @@ def test_per_sample_weights_match_loop(small_encoder):
     trained = [Adapter(k_r=rng.normal(size=(4, 8)), v_r=rng.normal(size=(4, 8)))]
     ws = np.array([0.0, 0.3, 0.7, 1.0])
     batch = encode(ids, small_encoder.image, trained, ws)
-    looped = np.stack(
-        [encode(ids[i], small_encoder.image, trained, float(ws[i])) for i in range(4)]
+    looped = np.concatenate(
+        [encode(ids[i : i + 1], small_encoder.image, trained, float(ws[i])) for i in range(4)]
     )
     assert np.allclose(batch, looped, atol=1e-13)
 
@@ -115,24 +124,24 @@ def test_encoder_spec_validation():
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=8))
 def test_encode_always_unit_norm(seed, length):
     enc = EncoderSpec(vocab=32, d=4, depth=2, seed=0).build()
-    ids = make_rng(seed).integers(0, 32, size=length)
-    assert abs(np.linalg.norm(encode(ids, enc.image)) - 1.0) < 1e-12
+    ids = make_rng(seed).integers(0, 32, size=(1, length))
+    assert abs(np.linalg.norm(encode(ids, enc.image)[0]) - 1.0) < 1e-12
 
 
 def test_encode_backward_matches_finite_differences(small_encoder):
     # full-stack gradient: loss = <d_feats, encode(ids)> as a function of one
     # adapter's parameters, both towers frozen
     rng = make_rng(6)
-    ids = rng.integers(0, 64, size=5)
+    ids = rng.integers(0, 64, size=(1, 5))
     base = init_adapter(3, 8, 0.02, rng)
     k0 = rng.normal(size=(3, 8)) * 0.3
     v0 = rng.normal(size=(3, 8)) * 0.3
-    d_feats = rng.normal(size=8)
+    d_feats = rng.normal(size=(1, 8))
     w = 0.9
 
     def loss_from(k_flat, v_flat):
         adapters = [Adapter(k_r=k_flat.reshape(3, 8), v_r=v_flat.reshape(3, 8))]
-        return float(np.dot(d_feats, encode(ids, small_encoder.image, adapters, w)))
+        return float((d_feats * encode(ids, small_encoder.image, adapters, w)).sum())
 
     adapters = [Adapter(k_r=k0, v_r=v0)]
     feats, cache = encode_with_cache(ids, small_encoder.image, adapters, w)
@@ -211,4 +220,4 @@ def test_encode_rejects_non_finite_features(small_encoder):
 def test_encode_rejects_nan_weight(small_encoder):
     fresh = [init_adapter(3, 8, 0.02, make_rng(11))]
     with pytest.raises(ContractError):
-        encode(make_rng(12).integers(0, 64, size=6), small_encoder.image, fresh, float("nan"))
+        encode(make_rng(12).integers(0, 64, size=(1, 6)), small_encoder.image, fresh, float("nan"))

@@ -2,8 +2,10 @@
 
 perfbench/tracer.py wraps every function in its LAYER_TARGETS by name, and
 perfbench/run.py calls infer_batch and evaluate_task with positional
-arguments. A library change that renames, deletes or reorders any of these
-breaks the benchmark; these tests catch it in the tier-1 suite. The
+arguments, and its op probe (`--trace 1`) calls the layer ops on one
+training batch. A library change that renames, deletes, reorders or
+narrows any of these breaks the benchmark; these tests catch it in the
+tier-1 suite. The
 tracer's hooks also read arguments: the row count of encode_with_cache is
 the length of its first argument, and one batch_cross_entropy call counts
 one SGD step, so a traced run checks both. These tests only
@@ -17,14 +19,19 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resadapt.bench.continual as continual
+from resadapt import attention, backbone, learner, taskdist
+from resadapt.backbone import EncoderSpec
+from resadapt.bench.config import load_config
 from resadapt.bench.continual import evaluate_task, run_continual
 from resadapt.bench.stream import StreamSpec, gen_stream
 from resadapt.learner import TrainConfig, infer_batch
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +93,45 @@ def test_traced_run_counts_every_step(tracer, small_encoder, mode):
     # residual training stops at layer 0 and needs it on layer 1 only.
     per_step = 4 if mode == "prepend" else 2
     assert tr.calls["attention.frozen_attn_backward"] == per_step * steps
+
+
+def test_op_probe_calls_on_its_shapes():
+    # The calls perfbench/run.py's op_probe makes, on its shapes: the first
+    # 32 training sequences of task 0 of configs/default.cfg, through the
+    # first image layer.
+    cfg = load_config(ROOT / "configs" / "default.cfg")
+    task = gen_stream(cfg.stream)[0]
+    enc = EncoderSpec(
+        vocab=cfg.stream.vocab, d=cfg.backbone.embed_dim, depth=cfg.backbone.depth,
+        seed=cfg.backbone.backbone_seed,
+    ).build()
+    rng = np.random.default_rng(12345)
+    ids = task.train_ids[:32]
+    layer = enc.image.layers[0]
+    x = enc.image.embed[ids]
+    b, seq_len, d = x.shape
+    assert ids.shape == (b, seq_len) == (32, 8)
+    d_out = rng.normal(size=x.shape)
+    l, bound = cfg.train.prompt_len, cfg.train.k_bound
+    adapter = attention.init_adapter_ablation(l, d, bound, rng)
+    prompt = attention.PromptBaseline(p=rng.uniform(-bound, bound, (l, d)))
+    out, _ = attention.frozen_attn_with_cache(x, layer)
+    assert out.shape == x.shape
+    out, r_cache = attention.residual_attn_with_cache(x, layer, adapter, 1.0)
+    assert out.shape == x.shape
+    d_x, d_k, d_v = attention.residual_attn_backward(r_cache, d_out)
+    assert d_x.shape == x.shape and d_k.shape == d_v.shape == (l, d)
+    out, p_cache = attention.prepend_attn_with_cache(x, layer, prompt)
+    assert out.shape == x.shape
+    d_x, d_prompt = attention.prepend_attn_backward(p_cache, d_out)
+    assert d_x.shape == x.shape and d_prompt.shape == (l, d)
+    feats = backbone.encode(ids, enc.image)
+    assert feats.shape == (b, d)
+    gaussian = learner.estimate_task_stats(task.train_ids, enc, cfg.train.ridge)
+    s_hat = taskdist.log_density_batch(gaussian, feats)
+    assert s_hat.shape == (b,)
+    assert taskdist.calibration_weight_batch(s_hat).shape == (b,)
+    k = len(task.class_templates)
+    logit_rows = cfg.train.logit_scale * rng.uniform(-1.0, 1.0, (b, k))
+    loss, grad = learner.batch_cross_entropy(logit_rows, task.train_labels[:32])
+    assert math.isfinite(loss) and grad.shape == (b, k)

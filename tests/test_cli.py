@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from resadapt.backbone import EncoderSpec
@@ -266,12 +265,26 @@ class TestRun:
         # epochs = 2: step 1's loss is NaN and training diverges.
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(HUGE_LR_CFG + f"epochs = {epochs}\n")
-        with np.errstate(all="ignore"):
-            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o" / "grid.csv").exists()
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_overflow_leaves_one_stderr_line(self, tmp_path, epochs):
+        # In process, pytest captures numpy's RuntimeWarnings; a fresh
+        # interpreter prints them to stderr unless the CLI silences them.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(HUGE_LR_CFG + f"epochs = {epochs}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "resadapt", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     @pytest.mark.parametrize(
         "line,mode",

@@ -214,7 +214,7 @@ class TestZeroShotSweep:
             text = class_embeddings(task.class_templates, small_encoder.text)
             manual = np.mean(
                 [
-                    np.argmax(text @ encode(row, small_encoder.image)) == lab
+                    np.argmax(text @ encode(row[None], small_encoder.image)[0]) == lab
                     for row, lab in zip(task.test_ids, task.test_labels)
                 ]
             )

@@ -44,7 +44,9 @@ SMALL_CFG = TrainConfig(
 def _zero_shot(rows, classes, enc) -> np.ndarray:
     """Frozen-model oracle, one row at a time: no pool, no adapters."""
     text = class_embeddings(classes, enc.text)
-    return np.array([int(np.argmax(text @ encode(row, enc.image))) for row in rows])
+    return np.array(
+        [int(np.argmax(text @ encode(rows[r : r + 1], enc.image)[0])) for r in range(len(rows))]
+    )
 
 
 def _infer_rows(rows, pool, classes, enc, calibrate=True):
@@ -55,8 +57,9 @@ def _infer_rows(rows, pool, classes, enc, calibrate=True):
     w classify the row.
     """
     out = []
-    for row in rows:
-        frozen = encode(row, enc.image)[None, :]
+    for r in range(len(rows)):
+        row = rows[r : r + 1]
+        frozen = encode(row, enc.image)
         scores = [float(log_density_batch(e.gaussian, frozen)[0]) for e in pool.entries]
         t = int(np.argmax(scores))
         entry = pool.entries[t]
@@ -64,10 +67,10 @@ def _infer_rows(rows, pool, classes, enc, calibrate=True):
         if pool.kind == "residual" and calibrate:
             w = float(calibration_weight_batch(np.array([scores[t]]))[0])
         if pool.kind == "prepend":
-            feat = encode(row, enc.image, entry.adapters.image_adapters)
+            feat = encode(row, enc.image, entry.adapters.image_adapters)[0]
             text = class_embeddings(classes, enc.text, entry.adapters.text_adapters)
         else:
-            feat = encode(row, enc.image, entry.adapters.image_adapters, w)
+            feat = encode(row, enc.image, entry.adapters.image_adapters, w)[0]
             text = class_embeddings(classes, enc.text, entry.adapters.text_adapters, w)
         out.append((int(np.argmax(text @ feat)), t, w))
     return out

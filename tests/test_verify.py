@@ -68,18 +68,18 @@ class TestDegeneracyIsRealNotVacuous:
         adapter = Adapter(
             k_r=np.zeros((3, 6)), v_r=rng.standard_normal((3, 6)) * 0.1
         )
-        x = rng.standard_normal((5, 6))
-        d_k, _ = adapter_grads(x, layer, adapter, 1.0, rng.standard_normal((5, 6)))
+        x = rng.standard_normal((1, 5, 6))
+        d_k, _ = adapter_grads(x, layer, adapter, 1.0, rng.standard_normal((1, 5, 6)))
         assert np.linalg.norm(d_k) > 0.0
 
     def test_random_keys_break_row_equality(self):
         # Same forward pass with random keys: value-row gradients diverge.
         rng = make_rng(100)
         layer = random_frozen_attention(6, rng)
-        x = rng.standard_normal((5, 6))
+        x = rng.standard_normal((1, 5, 6))
         zero = Adapter(k_r=np.zeros((3, 6)), v_r=np.zeros((3, 6)))
         rand = Adapter(k_r=rng.uniform(-0.5, 0.5, (3, 6)), v_r=np.zeros((3, 6)))
-        g = rng.standard_normal((5, 6))
+        g = rng.standard_normal((1, 5, 6))
         _, dv_zero = adapter_grads(x, layer, zero, 1.0, g)
         _, dv_rand = adapter_grads(x, layer, rand, 1.0, g)
         # zero keys: all value rows share one gradient
