@@ -16,6 +16,13 @@ freshly initialized adapter leaves the layer output bit-identical to the
 frozen one at any weight w. Every forward takes a batch (B, L, d) of
 sequences, a single sequence being a batch of one; backward helpers return
 parameter gradients summed over the batch.
+
+Both branches split into the work that no trainable parameter touches and
+a readout over it: residual_readout adds to a frozen forward (FrozenCache),
+prepend_readout attends over a projection of the input rows (Projection:
+their q, k, v and the x-x score block). Layer 0 reads only frozen
+embeddings, so either kind of work over it can be computed once per task
+and served to every training step.
 """
 
 from __future__ import annotations
@@ -154,34 +161,68 @@ def _check_seq(x: np.ndarray, d: int) -> np.ndarray:
 
 
 @dataclass
-class FrozenCache:
+class Projection:
+    """A frozen layer's prompt-independent work over an input x (B, L, d).
+
+    q, k and v are x's projections and scores the scaled x-x block
+    (q k^T) / sqrt(d).
+    """
+
     x: np.ndarray
     p: FrozenAttention
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    attn: np.ndarray
-    out: np.ndarray
+    scores: np.ndarray
 
-    def take(self, idx: np.ndarray) -> "FrozenCache":
-        """The cache of the batch rows idx of a (B, L, d) forward."""
-        return FrozenCache(
-            x=self.x[idx], p=self.p, q=self.q[idx], k=self.k[idx], v=self.v[idx],
-            attn=self.attn[idx], out=self.out[idx],
+    def take(self, idx: np.ndarray) -> "Projection":
+        """The projection of the batch rows idx; a prompt readout reads all of it."""
+        # ndarray.take(idx, 0) copies the same rows as [idx], faster.
+        return Projection(
+            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=self.k.take(idx, 0),
+            v=self.v.take(idx, 0), scores=self.scores.take(idx, 0),
         )
 
 
-def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarray, FrozenCache]:
-    """softmax(Q K^T / sqrt(d)) V with Q = x W_q + b_q etc., over (B, L, d) x."""
+def project(x: np.ndarray, p: FrozenAttention) -> Projection:
+    """q = x W_q + b_q, k, v likewise, and the scaled scores (q k^T) / sqrt(d)."""
     x = _check_seq(x, p.d)
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
     q = x @ p.w_q + p.b_q
     k = x @ p.w_k + p.b_k
     v = x @ p.w_v + p.b_v
     scores = (q @ np.swapaxes(k, -1, -2)) * inv_sqrt_d
-    attn = softmax_rows(scores)
-    out = attn @ v
-    return out, FrozenCache(x=x, p=p, q=q, k=k, v=v, attn=attn, out=out)
+    return Projection(x=x, p=p, q=q, k=k, v=v, scores=scores)
+
+
+@dataclass
+class FrozenCache:
+    x: np.ndarray
+    p: FrozenAttention
+    q: np.ndarray
+    k: np.ndarray | None
+    v: np.ndarray | None
+    attn: np.ndarray | None
+    out: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "FrozenCache":
+        """The batch rows idx of what a residual readout reads: x, q and out.
+
+        k, v and attn stay None, so the result serves residual_attn_backward
+        only with input_grad=False, as layer 0 uses it.
+        """
+        return FrozenCache(
+            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=None, v=None, attn=None,
+            out=self.out.take(idx, 0),
+        )
+
+
+def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarray, FrozenCache]:
+    """softmax(Q K^T / sqrt(d)) V with Q = x W_q + b_q etc., over (B, L, d) x."""
+    pj = project(x, p)
+    attn = softmax_rows(pj.scores)
+    out = attn @ pj.v
+    return out, FrozenCache(x=pj.x, p=p, q=pj.q, k=pj.k, v=pj.v, attn=attn, out=out)
 
 
 def frozen_attn_backward(cache: FrozenCache, d_out: np.ndarray) -> np.ndarray:
@@ -301,8 +342,41 @@ def adapter_grads(
 
 @dataclass
 class PrependCache:
-    frozen: FrozenCache
-    l: int
+    proj: Projection  # of the input rows
+    k_p: np.ndarray  # (l, d) prompt keys
+    v: np.ndarray  # (B, l + L, d) values of [prompt; x]
+    attn: np.ndarray  # (B, L, l + L) input rows' attention over [prompt; x]
+
+
+def _prepend_rows(head: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[head; rows[b]] for every batch element b: (B, l + L, d) from (l, d) and (B, L, d)."""
+    l = head.shape[0]
+    out = np.empty((rows.shape[0], l + rows.shape[1], rows.shape[2]))
+    out[:, :l] = head
+    out[:, l:] = rows
+    return out
+
+
+def prepend_readout(pj: Projection, prompt: PromptBaseline) -> tuple[np.ndarray, PrependCache]:
+    """Prepend layer output over a projection of the input rows.
+
+    The prompt's keys and values are projected once for the whole batch.
+    Only the input rows' queries are formed: the prompt rows' outputs are
+    discarded, so their queries, score rows and softmax are never needed.
+    Each kept row attends over [prompt; x] with scores [x-prompt | x-x], so
+    the result equals the full attention over the concatenation, bit for bit.
+    """
+    p = pj.p
+    if prompt.d != p.d:
+        raise ShapeError(f"prompt width {prompt.d} does not match layer width {p.d}")
+    inv_sqrt_d = 1.0 / np.sqrt(p.d)
+    k_p = prompt.p @ p.w_k + p.b_k
+    v_p = prompt.p @ p.w_v + p.b_v
+    scores = np.concatenate([(pj.q @ k_p.T) * inv_sqrt_d, pj.scores], axis=-1)
+    attn = softmax_rows(scores)
+    v = _prepend_rows(v_p, pj.v)
+    out = attn @ v
+    return out, PrependCache(proj=pj, k_p=k_p, v=v, attn=attn)
 
 
 def prepend_attn_with_cache(
@@ -313,20 +387,33 @@ def prepend_attn_with_cache(
     Every kept row attends over prompt and input rows jointly, so a nonzero
     prompt changes the output; there is no weight that turns it off.
     """
-    if prompt.d != p.d:
-        raise ShapeError(f"prompt width {prompt.d} does not match layer width {p.d}")
-    x = _check_seq(x, p.d)
-    rows = np.broadcast_to(prompt.p, (x.shape[0],) + prompt.p.shape)
-    x_cat = np.concatenate([rows, x], axis=-2)
-    out_cat, fc = frozen_attn_with_cache(x_cat, p)
-    return out_cat[:, prompt.l :, :], PrependCache(frozen=fc, l=prompt.l)
+    return prepend_readout(project(x, p), prompt)
 
 
 def prepend_attn_backward(
-    cache: PrependCache, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through the prepend layer: returns (d_x, d_prompt)."""
-    b, _, d = d_out.shape
-    d_cat = np.concatenate([np.zeros((b, cache.l, d)), d_out], axis=-2)
-    d_x_cat = frozen_attn_backward(cache.frozen, d_cat)
-    return d_x_cat[:, cache.l :, :], d_x_cat[:, : cache.l, :].sum(axis=0)
+    cache: PrependCache, d_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Backward through the prepend layer: returns (d_x, d_prompt).
+
+    d_prompt is formed from the prompt rows of d_k and d_v and summed over
+    the batch; the prompt rows have no query, and their output gradient is
+    zero. With input_grad=False, d_x is None and neither d_q nor the input
+    gradient is computed.
+    """
+    pj = cache.proj
+    p = pj.p
+    l = cache.k_p.shape[0]
+    inv_sqrt_d = 1.0 / np.sqrt(p.d)
+    d_attn = d_out @ np.swapaxes(cache.v, -1, -2)
+    d_scores = softmax_backward(cache.attn, d_attn)
+    # Key and value gradients of the prompt rows only, unless the input
+    # rows' are needed too.
+    keys = slice(None) if input_grad else slice(None, l)
+    d_v = np.swapaxes(cache.attn[..., keys], -1, -2) @ d_out
+    d_k = (np.swapaxes(d_scores[..., keys], -1, -2) @ pj.q) * inv_sqrt_d
+    d_prompt = (d_k[:, :l] @ p.w_k.T + d_v[:, :l] @ p.w_v.T).sum(axis=0)
+    if not input_grad:
+        return None, d_prompt
+    d_q = (d_scores @ _prepend_rows(cache.k_p, pj.k)) * inv_sqrt_d
+    d_x = d_q @ p.w_q.T + d_k[:, l:] @ p.w_k.T + d_v[:, l:] @ p.w_v.T
+    return d_x, d_prompt

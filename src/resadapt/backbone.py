@@ -22,12 +22,15 @@ from .attention import (
     FrozenAttention,
     FrozenCache,
     PrependCache,
+    Projection,
     PromptBaseline,
     ResidualCache,
     frozen_attn_backward,
     frozen_attn_with_cache,
     prepend_attn_backward,
     prepend_attn_with_cache,
+    prepend_readout,
+    project,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
@@ -141,12 +144,15 @@ class EncodeCache:
     feats: np.ndarray
 
 
-def _apply_layer(x, layer, attach, w, fc):
-    # fc, when given, is this layer's frozen forward over x, computed earlier.
-    if fc is not None:
-        if not isinstance(attach, Adapter):
-            raise ContractError("a layer-0 cache serves only a residual adapter on layer 0")
-        out, cache = residual_readout(fc, attach, w)
+def _apply_layer(x, layer, attach, w, layer0):
+    # layer0, when given, is this layer's frozen work over x, computed earlier.
+    if layer0 is not None:
+        if isinstance(attach, Adapter) and isinstance(layer0, FrozenCache):
+            out, cache = residual_readout(layer0, attach, w)
+        elif isinstance(attach, PromptBaseline) and isinstance(layer0, Projection):
+            out, cache = prepend_readout(layer0, attach)
+        else:
+            raise ContractError("a layer-0 cache serves only the layer-0 attachment it was built for")
     elif attach is None:
         out, cache = frozen_attn_with_cache(x, layer)
     elif isinstance(attach, Adapter):
@@ -158,17 +164,23 @@ def _apply_layer(x, layer, attach, w, fc):
     return x + out, cache
 
 
-def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
-    """Layer 0's frozen forward over the embedded token ids.
+def layer0_cache(
+    token_ids, stack: EncoderStack, attach: Adapter | PromptBaseline | None = None
+) -> FrozenCache | Projection:
+    """Layer 0's frozen work over the embedded token ids, for attach on layer 0.
 
-    Layer 0 reads only the frozen embeddings, and a residual adapter leaves
-    the frozen path as it is, so no training step changes this cache:
-    encode_with_cache can take it, or its take() of some rows, in place of
-    recomputing it.
+    For a residual adapter (or None) it is the frozen forward, to which the
+    adapter readout adds; for a prompt it is the projection of the input
+    rows, over which the prompt readout attends. Layer 0 reads only the
+    frozen embeddings, and neither attachment changes that work, so no
+    training step changes this cache: encode_with_cache can take it, or its
+    take() of some rows, in place of recomputing it.
     """
     ids = _check_ids(token_ids, stack.vocab)
-    _, cache = frozen_attn_with_cache(stack.embed[ids], stack.layers[0])
-    return cache
+    x = stack.embed[ids]
+    if isinstance(attach, PromptBaseline):
+        return project(x, stack.layers[0])
+    return frozen_attn_with_cache(x, stack.layers[0])[1]
 
 
 def encode_with_cache(
@@ -176,14 +188,14 @@ def encode_with_cache(
     stack: EncoderStack,
     adapters: Sequence[Adapter | PromptBaseline] | None = None,
     w=1.0,
-    layer0: FrozenCache | None = None,
+    layer0: FrozenCache | Projection | None = None,
 ) -> tuple[np.ndarray, EncodeCache]:
     """Forward pass keeping intermediates for the training backward.
 
-    layer0, if given, is layer0_cache(token_ids, stack): it replaces the
-    embedding lookup and layer 0's frozen attention, and the token ids are
-    then not read again. It needs a residual adapter on layer 0: a prompt
-    changes layer 0's input, so no cache can serve it.
+    layer0, if given, is layer0_cache(token_ids, stack, adapters[0]): it
+    replaces the embedding lookup and layer 0's frozen work, and the token
+    ids are then not read again. Layer 0 then adds only its attachment's
+    readout, residual or prompt.
     """
     if adapters is not None and len(adapters) > stack.depth:
         raise ShapeError(f"{len(adapters)} attachments for a depth-{stack.depth} stack")
@@ -212,7 +224,8 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
     Returns a per-layer list: None for plain frozen layers, (d_k_r, d_v_r)
     for residual adapters, d_prompt for prepend prompts. Gradients are
     summed over the batch. Embeddings are frozen, so propagation stops
-    below layer 0: layer 0 computes only its own parameter gradients.
+    below layer 0: layer 0 computes only its own parameter gradients, and
+    its input gradient is never formed.
     """
     # Through L2 normalization: f = u / |u|, du = (df - f (f . df)) / |u|.
     f = cache.feats
@@ -227,8 +240,7 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
             d_attn_in, d_k_r, d_v_r = residual_attn_backward(layer_cache, d_x, input_grad=i > 0)
             grads[i] = (d_k_r, d_v_r)
         elif isinstance(layer_cache, PrependCache):
-            # The prompt's gradient needs the full frozen backward at any layer.
-            d_attn_in, grads[i] = prepend_attn_backward(layer_cache, d_x)
+            d_attn_in, grads[i] = prepend_attn_backward(layer_cache, d_x, input_grad=i > 0)
         elif i > 0:
             d_attn_in = frozen_attn_backward(layer_cache, d_x)
         if i > 0:

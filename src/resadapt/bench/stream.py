@@ -211,22 +211,65 @@ def load_stream(path: str | Path) -> tuple[StreamSpec, list[Task]]:
         raise ConfigError(f"malformed stream file {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _int_array(raw, what: str, ndim: int, hi: int) -> np.ndarray:
+    # No dtype on the way in: a float, bool or string entry keeps its own
+    # dtype and fails here instead of being cast to an id.
+    a = np.array(raw)
+    if a.ndim != ndim or a.dtype.kind not in "iu":
+        kind = ("an integer", "a list of integers", "a list of integer rows")[ndim]
+        raise ConfigError(f"{what} must be {kind}")
+    if a.size and (a.min() < 0 or a.max() >= hi):
+        raise ConfigError(f"{what} must lie in [0, {hi})")
+    return a.astype(np.int64)
+
+
+def _decode_split(t: dict, split: str, spec: StreamSpec, k: int, where: str):
+    ids = _int_array(t[f"{split}_ids"], f"{where} {split}_ids", 2, spec.vocab)
+    if ids.shape[1] != spec.seq_len:
+        raise ConfigError(
+            f"{where} {split}_ids rows have length {ids.shape[1]}, spec seq_len is {spec.seq_len}"
+        )
+    labels = _int_array(t[f"{split}_labels"], f"{where} {split}_labels", 1, k)
+    if labels.shape != (ids.shape[0],):
+        raise ConfigError(f"{where} has {len(labels)} {split}_labels for {len(ids)} rows")
+    return ids, labels
+
+
+def _decode_task(t: dict, spec: StreamSpec, where: str) -> Task:
+    templates = []
+    for c in t["class_templates"]:
+        prefix = tuple(_int_array(c["prefix"], f"{where} template prefix", 1, spec.vocab).tolist())
+        if prefix != TEMPLATE_PREFIX:
+            raise ConfigError(f"{where} template prefix must be {TEMPLATE_PREFIX}, got {prefix}")
+        token = int(_int_array(c["class_token"], f"{where} class token", 0, spec.vocab))
+        templates.append(ClassTemplate(prefix=prefix, class_token=token))
+    if len(templates) != spec.classes_per_task:
+        raise ConfigError(
+            f"{where} has {len(templates)} class templates, spec has {spec.classes_per_task} classes"
+        )
+    train_ids, train_labels = _decode_split(t, "train", spec, len(templates), where)
+    test_ids, test_labels = _decode_split(t, "test", spec, len(templates), where)
+    return Task(
+        index=int(_int_array(t["index"], f"{where} index", 0, spec.num_tasks)),
+        train_ids=train_ids,
+        train_labels=train_labels,
+        test_ids=test_ids,
+        test_labels=test_labels,
+        class_templates=tuple(templates),
+    )
+
+
 def _decode_stream(doc: dict) -> tuple[StreamSpec, list[Task]]:
+    """The stream a file holds, checked once against its spec.
+
+    Token ids are integers in [0, vocab) in rows of length seq_len, each
+    row has one label within its task's classes, each task has one template
+    per class with the shared prefix, and the tasks are indexed
+    0..num_tasks-1 in order.
+    """
     spec = StreamSpec(**doc["spec"])
-    tasks = []
-    for t in doc["tasks"]:
-        templates = tuple(
-            ClassTemplate(prefix=tuple(c["prefix"]), class_token=int(c["class_token"]))
-            for c in t["class_templates"]
-        )
-        tasks.append(
-            Task(
-                index=int(t["index"]),
-                train_ids=np.array(t["train_ids"], dtype=np.int64),
-                train_labels=np.array(t["train_labels"], dtype=np.int64),
-                test_ids=np.array(t["test_ids"], dtype=np.int64),
-                test_labels=np.array(t["test_labels"], dtype=np.int64),
-                class_templates=templates,
-            )
-        )
+    tasks = [_decode_task(t, spec, f"task {i}") for i, t in enumerate(doc["tasks"])]
+    indices = [t.index for t in tasks]
+    if indices != list(range(spec.num_tasks)):
+        raise ConfigError(f"task indices must be 0..{spec.num_tasks - 1} in order, got {indices}")
     return spec, tasks

@@ -198,11 +198,11 @@ def train_task(
     is an inference-time mechanism). Zero epochs returns the untouched
     fresh initialization.
 
-    Residual adapters leave layer 0's frozen attention untouched, and layer
-    0 reads only frozen embeddings, so its forward over every training row
-    and every template is computed once per task; each step takes its
-    batch's rows. Prompts change layer 0's input, so prepend training
-    recomputes it every step.
+    Layer 0 reads only frozen embeddings, and neither branch changes its
+    frozen work: the frozen forward a residual adapter adds to, or the
+    projection of the input rows a prompt attends over. That work over
+    every training row and every template is computed once per task; each
+    step takes its batch's rows and adds only the layer-0 readout.
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -221,18 +221,18 @@ def train_task(
     template_ids = np.stack([c.token_ids() for c in class_templates])
     steps_per_epoch = max(1, math.ceil(n / cfg.batch))
     total_steps = cfg.epochs * steps_per_epoch
-    img0 = txt0 = None
-    if mode.mechanism == "residual" and cfg.epochs > 0:
-        img0 = layer0_cache(train_ids, enc.image)
-        txt0 = layer0_cache(template_ids, enc.text)
+    if cfg.epochs > 0:
+        img0 = layer0_cache(train_ids, enc.image, img_att[0])
+        txt0 = layer0_cache(template_ids, enc.text, txt_att[0])
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch):
             idx = perm[start : start + cfg.batch]
             lr = cosine_lr(step, total_steps, cfg.lr0)
-            rows0 = None if img0 is None else img0.take(idx)
-            img_feats, img_cache = encode_with_cache(train_ids[idx], enc.image, img_att, 1.0, rows0)
+            img_feats, img_cache = encode_with_cache(
+                train_ids[idx], enc.image, img_att, 1.0, img0.take(idx)
+            )
             txt_feats, txt_cache = encode_with_cache(template_ids, enc.text, txt_att, 1.0, txt0)
             logit_block = cfg.logit_scale * (img_feats @ txt_feats.T)
             loss, d_logits = batch_cross_entropy(logit_block, train_labels[idx])

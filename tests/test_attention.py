@@ -12,10 +12,14 @@ from resadapt.attention import (
     FrozenAttention,
     PromptBaseline,
     adapter_grads,
+    frozen_attn_backward,
     frozen_attn_with_cache,
     init_adapter,
     init_adapter_ablation,
+    prepend_attn_backward,
     prepend_attn_with_cache,
+    prepend_readout,
+    project,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
@@ -158,6 +162,79 @@ def test_prepend_interferes_with_frozen_output():
     assert worst > 0.0
 
 
+def _prepend_over_concat(x, p, prompt, d_out):
+    # The reference: full self-attention over [prompt; x], prompt output
+    # rows discarded, and its backward with a zero gradient on those rows.
+    b, l = x.shape[0], prompt.l
+    rows = np.broadcast_to(prompt.p, (b,) + prompt.p.shape)
+    out_cat, fc = frozen_attn_with_cache(np.concatenate([rows, x], axis=1), p)
+    d_cat = np.concatenate([np.zeros((b, l, p.d)), d_out], axis=1)
+    d_x_cat = frozen_attn_backward(fc, d_cat)
+    return out_cat[:, l:], d_x_cat[:, l:], d_x_cat[:, :l].sum(axis=0)
+
+
+@pytest.mark.parametrize("b,length,l,d", [(5, 8, 4, 32), (3, 4, 4, 32), (4, 3, 2, 6), (1, 1, 1, 3)])
+def test_prepend_equals_attention_over_concat_bitwise(b, length, l, d):
+    # Only the input rows' queries are formed, and the prompt is projected
+    # once per batch; the kept rows and both gradients keep their bits.
+    rng = make_rng(23)
+    p = random_frozen_attention(d, rng)
+    x = rng.normal(size=(b, length, d))
+    prompt = PromptBaseline(p=rng.uniform(-0.5, 0.5, size=(l, d)))
+    d_out = rng.normal(size=(b, length, d))
+    want_out, want_d_x, want_d_prompt = _prepend_over_concat(x, p, prompt, d_out)
+    out, cache = prepend_attn_with_cache(x, p, prompt)
+    assert np.array_equal(out, want_out)
+    d_x, d_prompt = prepend_attn_backward(cache, d_out)
+    assert np.array_equal(d_x, want_d_x)
+    assert np.array_equal(d_prompt, want_d_prompt)
+    none, d_prompt_only = prepend_attn_backward(cache, d_out, input_grad=False)
+    assert none is None and np.array_equal(d_prompt_only, want_d_prompt)
+
+
+def test_prepend_readout_over_taken_projection_bitwise_equal():
+    # Layer 0's projection over a whole training set, restricted to a batch,
+    # must give the batch's own prepend forward and backward bit for bit.
+    rng = make_rng(24)
+    p = random_frozen_attention(4, rng)
+    prompt = PromptBaseline(p=rng.normal(size=(2, 4)))
+    x = rng.normal(size=(9, 3, 4))
+    whole = project(x, p)
+    for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
+        got, got_cache = prepend_readout(whole.take(idx), prompt)
+        want, want_cache = prepend_attn_with_cache(x[idx], p, prompt)
+        assert np.array_equal(got, want)
+        d_out = rng.normal(size=got.shape)
+        for flag in (True, False):
+            got_grads = prepend_attn_backward(got_cache, d_out, input_grad=flag)
+            want_grads = prepend_attn_backward(want_cache, d_out, input_grad=flag)
+            for g, w in zip(got_grads, want_grads):
+                assert (g is None and w is None) or np.array_equal(g, w)
+
+
+def test_prepend_grads_match_finite_differences():
+    rng = make_rng(25)
+    p = random_frozen_attention(4, rng)
+    x = rng.normal(size=(3, 5, 4))
+    prompt = rng.normal(size=(2, 4)) * 0.5
+    d_out = rng.normal(size=(3, 5, 4))
+
+    def loss(x_in, prompt_rows):
+        return float(np.sum(d_out * prepend(x_in, p, PromptBaseline(p=prompt_rows))))
+
+    _, cache = prepend_attn_with_cache(x, p, PromptBaseline(p=prompt))
+    d_x, d_prompt = prepend_attn_backward(cache, d_out)
+    none, d_prompt_only = prepend_attn_backward(cache, d_out, input_grad=False)
+    assert none is None
+    num_prompt = finite_diff_grad(lambda t: loss(x, t.reshape(prompt.shape)), prompt.ravel(), 1e-5)
+    num_x = finite_diff_grad(lambda t: loss(t.reshape(x.shape), prompt), x.ravel(), 1e-5)
+    for analytic, numeric in (
+        (d_prompt.ravel(), num_prompt), (d_prompt_only.ravel(), num_prompt), (d_x.ravel(), num_x)
+    ):
+        scale = max(np.abs(numeric).max(), 1e-12)
+        assert np.abs(analytic - numeric).max() / scale <= 1e-6
+
+
 # ----------------------------------------------------------------- residual
 
 
@@ -242,8 +319,14 @@ def test_readout_over_batch_cache_rows_bitwise_equal():
         want, want_cache = residual_attn_with_cache(x[idx], p, a, 1.0)
         assert np.array_equal(got, want)
         assert np.array_equal(got_cache.attn_r, want_cache.attn_r)
-        for name in ("x", "q", "k", "v", "attn", "out"):
+        # The taken rows hold what a readout and its parameter backward read.
+        for name in ("x", "q", "out"):
             assert np.array_equal(getattr(got_cache.frozen, name), getattr(want_cache.frozen, name))
+        assert got_cache.frozen.k is got_cache.frozen.v is got_cache.frozen.attn is None
+        d_out = rng.normal(size=got.shape)
+        _, d_k, d_v = residual_attn_backward(got_cache, d_out, input_grad=False)
+        _, want_k, want_v = residual_attn_backward(want_cache, d_out, input_grad=False)
+        assert np.array_equal(d_k, want_k) and np.array_equal(d_v, want_v)
 
 
 def test_backward_without_input_grad_same_parameter_grads():

@@ -178,18 +178,72 @@ def test_layer0_cache_rows_give_identical_features_and_grads(small_encoder, n_ad
             assert all(np.array_equal(g, v) for g, v in zip(got, want))
 
 
+def test_encode_backward_prompt_grads_match_finite_differences(small_encoder):
+    # Both layers carry a prompt: layer 1's gradient flows through layer 1
+    # alone, layer 0's through the input gradient of layer 1 as well.
+    rng = make_rng(13)
+    ids = rng.integers(0, 64, size=(3, 5))
+    prompts = [rng.normal(size=(2, 8)) * 0.3 for _ in range(2)]
+    d_feats = rng.normal(size=(3, 8))
+
+    def loss_from(i, flat):
+        rows = [flat.reshape(2, 8) if j == i else prompts[j] for j in range(2)]
+        attach = [PromptBaseline(p=r) for r in rows]
+        return float((d_feats * encode(ids, small_encoder.image, attach)).sum())
+
+    _, cache = encode_with_cache(ids, small_encoder.image, [PromptBaseline(p=r) for r in prompts])
+    grads = encode_backward(cache, d_feats)
+    for i in range(2):
+        numeric = finite_diff_grad(lambda t: loss_from(i, t), prompts[i].ravel(), 1e-5)
+        scale = max(np.abs(numeric).max(), 1e-10)
+        assert np.abs(grads[i].ravel() - numeric).max() / scale <= 1e-4
+
+
+@pytest.mark.parametrize("n_prompts", [1, 2])
+def test_layer0_prompt_cache_rows_give_identical_features_and_grads(small_encoder, n_prompts):
+    # Prepend training projects layer 0's input rows once for all rows and
+    # takes each batch from it; features and gradients must equal encoding
+    # the batch from ids.
+    rng = make_rng(14)
+    ids = rng.integers(0, 64, size=(12, 6))
+    prompts = [PromptBaseline(p=rng.normal(size=(3, 8)) * 0.5) for _ in range(n_prompts)]
+    whole = layer0_cache(ids, small_encoder.image, prompts[0])
+    idx = rng.permutation(12)[:5]
+    d_feats = rng.normal(size=(5, 8))
+    feats, cache = encode_with_cache(ids[idx], small_encoder.image, prompts, 1.0, whole.take(idx))
+    ref_feats, ref_cache = encode_with_cache(ids[idx], small_encoder.image, prompts, 1.0)
+    assert np.array_equal(feats, ref_feats)
+    got, want = encode_backward(cache, d_feats), encode_backward(ref_cache, d_feats)
+    assert len(got) == len(want) == small_encoder.image.depth
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
 def test_layer0_cache_must_match_ids_and_stack(small_encoder):
+    # Each attachment kind has its layer-0 cache, and a cache serves only the
+    # token ids and the stack it was built from.
     rng = make_rng(8)
     ids = rng.integers(0, 64, size=(4, 6))
     adapters = [init_adapter(3, 8, 0.02, rng)]
-    cache = layer0_cache(ids, small_encoder.image)
-    with pytest.raises(ContractError):
-        encode_with_cache(ids[:3], small_encoder.image, adapters, 1.0, cache)
-    with pytest.raises(ContractError):
-        encode_with_cache(ids, small_encoder.text, adapters, 1.0, cache)
     prompt = [PromptBaseline(p=rng.normal(size=(3, 8)))]
+    for attach in (adapters, prompt):
+        cache = layer0_cache(ids, small_encoder.image, attach[0])
+        feats, _ = encode_with_cache(ids, small_encoder.image, attach, 1.0, cache)
+        assert np.array_equal(feats, encode_with_cache(ids, small_encoder.image, attach, 1.0)[0])
+        with pytest.raises(ContractError):
+            encode_with_cache(ids[:3], small_encoder.image, attach, 1.0, cache)
+        with pytest.raises(ContractError):
+            encode_with_cache(ids, small_encoder.text, attach, 1.0, cache)
+        with pytest.raises(ContractError):
+            encode_with_cache(ids, small_encoder.image, attach, 1.0, cache.take(np.arange(3)))
+    residual_cache = layer0_cache(ids, small_encoder.image)
+    prompt_cache = layer0_cache(ids, small_encoder.image, prompt[0])
     with pytest.raises(ContractError):
-        encode_with_cache(ids, small_encoder.image, prompt, 1.0, cache)
+        encode_with_cache(ids, small_encoder.image, prompt, 1.0, residual_cache)
+    with pytest.raises(ContractError):
+        encode_with_cache(ids, small_encoder.image, adapters, 1.0, prompt_cache)
+    with pytest.raises(ContractError):
+        encode_with_cache(ids, small_encoder.image, None, 1.0, residual_cache)
 
 
 def test_encode_backward_skips_frozen_backward_at_layer_0(small_encoder, monkeypatch):
@@ -207,6 +261,23 @@ def test_encode_backward_skips_frozen_backward_at_layer_0(small_encoder, monkeyp
     _, cache = encode_with_cache(ids, small_encoder.image, adapters, 1.0)
     encode_backward(cache, rng.normal(size=(3, 8)))
     assert [c is cache.layer_caches[1].frozen for c in calls] == [True]
+
+
+def test_encode_backward_skips_prompt_input_grad_at_layer_0(small_encoder, monkeypatch):
+    import resadapt.backbone as backbone
+
+    flags = []
+    original = backbone.prepend_attn_backward
+    monkeypatch.setattr(
+        backbone, "prepend_attn_backward",
+        lambda c, d, input_grad=True: flags.append(input_grad) or original(c, d, input_grad),
+    )
+    rng = make_rng(15)
+    ids = rng.integers(0, 64, size=(3, 6))
+    prompts = [PromptBaseline(p=rng.normal(size=(3, 8))) for _ in range(2)]
+    _, cache = encode_with_cache(ids, small_encoder.image, prompts)
+    encode_backward(cache, rng.normal(size=(3, 8)))
+    assert flags == [True, False]  # layer 1, then layer 0
 
 
 def test_encode_rejects_non_finite_features(small_encoder):

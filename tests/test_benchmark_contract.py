@@ -89,10 +89,16 @@ def test_traced_run_counts_every_step(tracer, small_encoder, mode):
     train_rows = tr.rows["backbone.encode_with_cache"] - tr.rows["backbone.encode"]
     assert train_calls == 2 * steps
     assert train_rows == spec.num_tasks * cfg.epochs * n_train + steps * spec.classes_per_task
-    # Prompts need the frozen backward on both layers of both towers;
-    # residual training stops at layer 0 and needs it on layer 1 only.
-    per_step = 4 if mode == "prepend" else 2
-    assert tr.calls["attention.frozen_attn_backward"] == per_step * steps
+    # Each step runs one branch backward per layer per tower. Both branches
+    # stop at layer 0 without its input gradient; a prompt's backward holds
+    # its own frozen part, a residual one calls the frozen backward on layer
+    # 1 only.
+    branch = "prepend" if mode == "prepend" else "residual"
+    other = "residual" if mode == "prepend" else "prepend"
+    assert tr.calls[f"attention.{branch}_attn_backward"] == 4 * steps
+    assert tr.calls[f"attention.{other}_attn_backward"] == 0
+    frozen_per_step = 0 if mode == "prepend" else 2
+    assert tr.calls["attention.frozen_attn_backward"] == frozen_per_step * steps
 
 
 def test_op_probe_calls_on_its_shapes():

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from resadapt.backbone import EncoderSpec
 from resadapt.bench.cli import main
@@ -226,6 +228,107 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "tasks" in err and len(err.strip().splitlines()) == 1
+
+
+def _set_first(key, value):
+    def mutate(doc):
+        doc["tasks"][0][key][0] = value
+    return mutate
+
+
+def _set_first_id(value):
+    def mutate(doc):
+        doc["tasks"][0]["train_ids"][0][0] = value
+    return mutate
+
+
+# Each mutation of a stored stream that loading used to accept: the
+# stream's data no longer matches its spec.
+STREAM_MUTATIONS = {
+    "label-outside-classes": (_set_first("test_labels", 7), "test_labels must lie in [0, 2)"),
+    "float-token-id": (_set_first_id(1.5), "train_ids must be a list of integer rows"),
+    "rows-shorter-than-seq-len": (
+        lambda d: d["spec"].update(seq_len=12), "rows have length 8, spec seq_len is 12"
+    ),
+    "duplicate-task-index": (
+        lambda d: d["tasks"][1].update(index=0), "task indices must be 0..1 in order"
+    ),
+    "out-of-vocab-train-row": (_set_first_id(64), "train_ids must lie in [0, 64)"),
+    "unlabelled-train-row": (
+        lambda d: d["tasks"][0]["train_labels"].pop(), "train_labels for"
+    ),
+    "foreign-template-prefix": (
+        lambda d: d["tasks"][1]["class_templates"][0].update(prefix=[0, 1, 3]),
+        "template prefix must be (0, 1, 2)",
+    ),
+}
+
+
+class TestStreamBoundary:
+    @pytest.mark.parametrize("name", sorted(STREAM_MUTATIONS))
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mutated_stream_exits_2(
+        self, tmp_path, cfg_file, stream_dir, pool_file, capsys, name, command
+    ):
+        mutate, message = STREAM_MUTATIONS[name]
+        doc = json.loads((stream_dir / "stream.json").read_text())
+        mutate(doc)
+        bad = tmp_path / "bad_stream"
+        bad.mkdir()
+        (bad / "stream.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        if command == "train":
+            args = ["train", "--config", str(cfg_file), "--out", str(tmp_path / "p.json")]
+        else:
+            args = ["eval", "--pool", str(pool_file), "--out", str(tmp_path / "e")]
+        assert main(args + ["--tasks", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0], err
+
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_any_one_value_mutation_exits_0_or_2(self, tmp_path, stream_dir, pool_file, capsys, data):
+        # One JSON value anywhere in the stream replaced by another: eval
+        # either accepts the file or exits 2 with one stderr line.
+        doc = json.loads((stream_dir / "stream.json").read_text())
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(st.sampled_from(FUZZ_VALUES))
+        doc = _replaced(doc, path, value)
+        bad = tmp_path / "fuzzed"
+        bad.mkdir(exist_ok=True)
+        (bad / "stream.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--pool", str(pool_file), "--tasks", str(bad), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code in (0, 2) and len(err) <= (code == 2), (path, value, code, err)
+
+
+FUZZ_VALUES = [0, 1, -1, 7, 64, 2**70, 1.5, -0.0, 1e308, "x", None, True, [], [1], [[1]], {}]
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in doc, lists sampled at their first and last item."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        for i in sorted({0, len(doc) - 1}):
+            yield from _json_paths(doc[i], path + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 class TestRun:
