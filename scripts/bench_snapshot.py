@@ -3,19 +3,20 @@
 
 Usage, from the repository root:
 
-    python3 scripts/bench_snapshot.py --index 6 [--seconds 40] [--seed 0] [--root DIR]
+    python3 scripts/bench_snapshot.py --index 6 [--root DIR]
 
 For every workload in perfbench/workloads.json it runs perfbench/run.py
 twice, untraced (--trace 0) and traced (--trace 1), each in its own
-process, and keeps each run's last stdout line (the metrics JSON), its
-grid/summary digest and the environment it printed.
+process, with seed 0 and BENCHMARK.json's run_seconds. It keeps each run's
+last stdout line (the metrics JSON), its grid/summary digest and the
+environment it printed.
 
 perfbench's tracer cannot see checkpoint evaluation below evaluate_task:
 it runs InferState.infer, which calls route and classify, and none of the
 three is a traced target. So this script also runs run_continual on each
-workload in process, with those three wrapped from outside (originals
-restored on exit), and records their calls and seconds per pass under the
-key "eval_calls".
+workload in process, with those three wrapped from outside by perfbench's
+own Tracer (originals restored on exit), and records their calls and
+seconds per pass under the key "eval_calls".
 
 --root names the checkout to measure (default: the one holding this
 script), so a parent commit can be measured with the same writer. The file
@@ -29,21 +30,19 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
-import contextlib
-import functools
 import importlib
 import json
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 EVAL_PASSES = 3
+SEED = 0
 
 
-def _run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def _run_perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -68,73 +67,40 @@ def _git(root: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-class _Clock:
-    """Inclusive and self seconds per wrapped callable, with nesting."""
-
-    def __init__(self):
-        self.calls, self.s, self.self_s = {}, {}, {}
-        self._stack = []
-
-    def wrap(self, name, fn):
-        self.calls[name], self.s[name], self.self_s[name] = 0, 0.0, 0.0
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            self._stack.append(0.0)
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                dt = time.perf_counter() - t0
-                child = self._stack.pop()
-                if self._stack:
-                    self._stack[-1] += dt
-                self.calls[name] += 1
-                self.s[name] += dt
-                self.self_s[name] += dt - child
-
-        return wrapper
-
-
-@contextlib.contextmanager
-def _wrapped(clock: _Clock):
-    """Wrap InferState.infer, route and classify wherever resadapt holds them."""
-    learner = importlib.import_module("resadapt.learner")
-    patched = [(learner.InferState, "infer", learner.InferState.infer, "learner.InferState.infer")]
-    for func in ("route", "classify"):
-        original = getattr(learner, func)
-        for mod in [m for n, m in list(sys.modules.items()) if n.startswith("resadapt")]:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    patched.append((mod, attr, original, f"learner.{func}"))
-    try:
-        for owner, attr, original, name in patched:
-            setattr(owner, attr, clock.wrap(name, original))
-        yield
-    finally:
-        for owner, attr, original, _ in reversed(patched):
-            setattr(owner, attr, original)
-
-
-def _eval_calls(root: Path, workload: str, seed: int) -> dict:
+def _eval_calls(root: Path, workload: str) -> dict:
     """Per-pass calls and seconds of infer/route/classify over run_continual."""
     run = importlib.import_module("run")  # perfbench/run.py, on sys.path
+    tracer_mod = importlib.import_module("tracer")  # perfbench/tracer.py
     continual = importlib.import_module("resadapt.bench.continual")
-    wl = run.load_workload(workload, seed)
+    learner = importlib.import_module("resadapt.learner")
+    wl = run.load_workload(workload, SEED)
     stream, enc = run.stream_mod.gen_stream(wl.stream), wl.encoder.build()
     continual.run_continual(stream[:2], enc, wl.train, run.CALIBRATE, wl.mode)  # warm-up
+    # route and classify are module functions, which Tracer.installed()
+    # replaces in every resadapt namespace; InferState.infer is a method,
+    # so it is set on the class by hand.
+    Target = tracer_mod.Target
+    infer = Target("resadapt.learner", "infer", "learner.InferState")
+    tracer = tracer_mod.Tracer([Target("resadapt.learner", f, "learner") for f in ("route", "classify")])
+    spans = [infer.span] + [t.span for t in tracer.targets]
     passes = []
-    for _ in range(EVAL_PASSES):
-        clock = _Clock()
-        with _wrapped(clock):
-            continual.run_continual(stream, enc, wl.train, run.CALIBRATE, wl.mode)
-        passes.append(clock)
+    original = learner.InferState.infer
+    learner.InferState.infer = tracer._wrap(infer, original)
+    try:
+        for _ in range(EVAL_PASSES):
+            tracer.reset()
+            with tracer.installed():
+                continual.run_continual(stream, enc, wl.train, run.CALIBRATE, wl.mode)
+            passes.append({name: (tracer.calls[name], tracer.total(name), tracer.self_s[name])
+                           for name in spans})
+    finally:
+        learner.InferState.infer = original
     out = {}
-    for name in passes[0].calls:
+    for name in spans:
         out[name] = {
-            "calls": passes[0].calls[name],
-            "s": statistics.median(c.s[name] for c in passes),
-            "self_s": statistics.median(c.self_s[name] for c in passes),
+            "calls": passes[0][name][0],
+            "s": statistics.median(p[name][1] for p in passes),
+            "self_s": statistics.median(p[name][2] for p in passes),
         }
     out["passes"] = EVAL_PASSES
     return out
@@ -144,28 +110,27 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--index", type=int, required=True, help="n of BENCH_<n>.json")
-    ap.add_argument("--seconds", type=float, default=40.0, help="--seconds of each perfbench run")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = ap.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     workloads = json.loads((root / "perfbench" / "workloads.json").read_text())["workloads"]
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
 
-    snapshot = {"index": args.index, "git": _git(root), "seed": args.seed,
-                "seconds": args.seconds, "env": None, "workloads": {}}
+    snapshot = {"index": args.index, "git": _git(root), "seed": SEED,
+                "seconds": seconds, "env": None, "workloads": {}}
     for name in workloads:
         entry = {}
         for trace, key in ((0, "untraced"), (1, "traced")):
             print(f"bench_snapshot: {name} --trace {trace}", file=sys.stderr, flush=True)
-            got = _run_perfbench(root, name, args.seed, args.seconds, trace)
+            got = _run_perfbench(root, name, seconds, trace)
             snapshot["env"] = snapshot["env"] or got.get("env")
             entry[key] = got["result"]
             entry.setdefault("digest", got.get("digest"))
             if got.get("digest") != entry["digest"]:
                 raise SystemExit(f"bench_snapshot: {name}: digests differ between runs")
         print(f"bench_snapshot: {name} eval calls", file=sys.stderr, flush=True)
-        entry["eval_calls"] = _eval_calls(root, name, args.seed)
+        entry["eval_calls"] = _eval_calls(root, name)
         snapshot["workloads"][name] = entry
 
     out = root / f"BENCH_{args.index}.json"

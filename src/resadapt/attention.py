@@ -171,15 +171,19 @@ class Projection:
     x: np.ndarray
     p: FrozenAttention
     q: np.ndarray
-    k: np.ndarray
+    k: np.ndarray | None
     v: np.ndarray
     scores: np.ndarray
 
     def take(self, idx: np.ndarray) -> "Projection":
-        """The projection of the batch rows idx; a prompt readout reads all of it."""
+        """The batch rows idx of what a prompt readout reads: x, q, v and scores.
+
+        k stays None, so the result serves prepend_attn_backward only with
+        input_grad=False, as layer 0 uses it.
+        """
         # ndarray.take(idx, 0) copies the same rows as [idx], faster.
         return Projection(
-            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=self.k.take(idx, 0),
+            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=None,
             v=self.v.take(idx, 0), scores=self.scores.take(idx, 0),
         )
 
