@@ -32,7 +32,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = load_config(args.config)
-    enc = cfg.build_encoder()
+    enc = cfg.encoder.build()
     stream = gen_stream(cfg.stream)
     zs = zero_shot_sweep(stream, enc)
 

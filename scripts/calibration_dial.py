@@ -27,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = load_config(args.config)
-    enc = cfg.build_encoder()
+    enc = cfg.encoder.build()
     stream = gen_stream(cfg.stream)
     if len(stream) < 2:
         print("need at least two tasks to contrast trained vs unseen", file=sys.stderr)

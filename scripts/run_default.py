@@ -28,7 +28,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = load_config(args.config)
-    enc = cfg.build_encoder()
+    enc = cfg.encoder.build()
     stream = gen_stream(cfg.stream)
 
     t0 = time.monotonic()

@@ -18,11 +18,12 @@ sequences, a single sequence being a batch of one; backward helpers return
 parameter gradients summed over the batch.
 
 Both branches split into the work that no trainable parameter touches and
-a readout over it: residual_readout adds to a frozen forward (FrozenCache),
-prepend_readout attends over a projection of the input rows (Projection:
-their q, k, v and the x-x score block). Layer 0 reads only frozen
-embeddings, so either kind of work over it can be computed once per task
-and served to every training step.
+a readout over it. That work is one frozen forward (FrozenCache: the
+projection of the input rows, i.e. their q, k, v and the x-x score block,
+plus the frozen attention and output): residual_readout adds to its
+output, prepend_readout attends over its projection. Layer 0 reads only
+frozen embeddings, so its frozen forward can be computed once per task and
+served to every training step, whichever attachment sits on it.
 """
 
 from __future__ import annotations
@@ -175,18 +176,6 @@ class Projection:
     v: np.ndarray
     scores: np.ndarray
 
-    def take(self, idx: np.ndarray) -> "Projection":
-        """The batch rows idx of what a prompt readout reads: x, q, v and scores.
-
-        k stays None, so the result serves prepend_attn_backward only with
-        input_grad=False, as layer 0 uses it.
-        """
-        # ndarray.take(idx, 0) copies the same rows as [idx], faster.
-        return Projection(
-            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=None,
-            v=self.v.take(idx, 0), scores=self.scores.take(idx, 0),
-        )
-
 
 def project(x: np.ndarray, p: FrozenAttention) -> Projection:
     """q = x W_q + b_q, k, v likewise, and the scaled scores (q k^T) / sqrt(d)."""
@@ -200,23 +189,23 @@ def project(x: np.ndarray, p: FrozenAttention) -> Projection:
 
 
 @dataclass
-class FrozenCache:
-    x: np.ndarray
-    p: FrozenAttention
-    q: np.ndarray
-    k: np.ndarray | None
-    v: np.ndarray | None
+class FrozenCache(Projection):
+    """A frozen forward over x: its projection plus attn and out = attn v."""
+
     attn: np.ndarray | None
     out: np.ndarray
 
     def take(self, idx: np.ndarray) -> "FrozenCache":
-        """The batch rows idx of what a residual readout reads: x, q and out.
+        """The batch rows idx of what a layer-0 readout reads.
 
-        k, v and attn stay None, so the result serves residual_attn_backward
-        only with input_grad=False, as layer 0 uses it.
+        A residual readout reads x, q and out, a prompt readout x, q, v and
+        scores. k and attn stay None, so the result serves a backward only
+        with input_grad=False, as layer 0 uses it.
         """
+        # ndarray.take(idx, 0) copies the same rows as [idx], faster.
         return FrozenCache(
-            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=None, v=None, attn=None,
+            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=None,
+            v=self.v.take(idx, 0), scores=self.scores.take(idx, 0), attn=None,
             out=self.out.take(idx, 0),
         )
 
@@ -226,7 +215,9 @@ def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarra
     pj = project(x, p)
     attn = softmax_rows(pj.scores)
     out = attn @ pj.v
-    return out, FrozenCache(x=pj.x, p=p, q=pj.q, k=pj.k, v=pj.v, attn=attn, out=out)
+    return out, FrozenCache(
+        x=pj.x, p=p, q=pj.q, k=pj.k, v=pj.v, scores=pj.scores, attn=attn, out=out
+    )
 
 
 def frozen_attn_backward(cache: FrozenCache, d_out: np.ndarray) -> np.ndarray:

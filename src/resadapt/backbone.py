@@ -13,7 +13,7 @@ a single sequence being a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .attention import (
     FrozenAttention,
     FrozenCache,
     PrependCache,
-    Projection,
     PromptBaseline,
     ResidualCache,
     frozen_attn_backward,
@@ -30,13 +29,12 @@ from .attention import (
     prepend_attn_backward,
     prepend_attn_with_cache,
     prepend_readout,
-    project,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
     residual_readout,
 )
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import make_rng
 
 TEMPLATE_PREFIX = (0, 1, 2)
@@ -113,6 +111,11 @@ class EncoderSpec:
     depth: int = 2
     seed: int = 0
 
+    # Cap on the float64 parameters (the (vocab, d) table and 2 * depth layers
+    # of 3 (d, d) weights and 3 biases): 128 MiB, against 21k by default. A
+    # config or pool file above it is refused before anything is allocated.
+    MAX_PARAMS: ClassVar[int] = 2**24
+
     def __post_init__(self):
         if min(self.vocab, self.d, self.depth) < 1:
             raise ContractError(
@@ -120,6 +123,10 @@ class EncoderSpec:
             )
         if self.seed < 0:
             raise ContractError("seed must be non-negative")
+        params = self.vocab * self.d + 2 * self.depth * 3 * (self.d * self.d + self.d)
+        if params > self.MAX_PARAMS:
+            raise ConfigError(f"encoder ({self.vocab}, {self.d}, {self.depth}) has {params} "
+                              f"parameters, above the cap of {self.MAX_PARAMS}")
 
     def build(self) -> DualEncoder:
         return build_dual_encoder(self.vocab, self.d, self.depth, self.seed)
@@ -145,42 +152,37 @@ class EncodeCache:
 
 
 def _apply_layer(x, layer, attach, w, layer0):
-    # layer0, when given, is this layer's frozen work over x, computed earlier.
-    if layer0 is not None:
-        if isinstance(attach, Adapter) and isinstance(layer0, FrozenCache):
-            out, cache = residual_readout(layer0, attach, w)
-        elif isinstance(attach, PromptBaseline) and isinstance(layer0, Projection):
-            out, cache = prepend_readout(layer0, attach)
-        else:
-            raise ContractError("a layer-0 cache serves only the layer-0 attachment it was built for")
-    elif attach is None:
-        out, cache = frozen_attn_with_cache(x, layer)
+    # layer0, when given, is this layer's frozen forward over x, computed
+    # earlier: its output, the frozen output an adapter adds to, or the
+    # projection a prompt attends over.
+    if attach is None:
+        out, cache = frozen_attn_with_cache(x, layer) if layer0 is None else (layer0.out, layer0)
     elif isinstance(attach, Adapter):
-        out, cache = residual_attn_with_cache(x, layer, attach, w)
+        if layer0 is None:
+            out, cache = residual_attn_with_cache(x, layer, attach, w)
+        else:
+            out, cache = residual_readout(layer0, attach, w)
     elif isinstance(attach, PromptBaseline):
-        out, cache = prepend_attn_with_cache(x, layer, attach)
+        if layer0 is None:
+            out, cache = prepend_attn_with_cache(x, layer, attach)
+        else:
+            out, cache = prepend_readout(layer0, attach)
     else:
         raise ContractError(f"unsupported per-layer attachment {type(attach).__name__}")
     return x + out, cache
 
 
-def layer0_cache(
-    token_ids, stack: EncoderStack, attach: Adapter | PromptBaseline | None = None
-) -> FrozenCache | Projection:
-    """Layer 0's frozen work over the embedded token ids, for attach on layer 0.
+def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
+    """Layer 0's frozen forward over the embedded token ids.
 
-    For a residual adapter (or None) it is the frozen forward, to which the
-    adapter readout adds; for a prompt it is the projection of the input
-    rows, over which the prompt readout attends. Layer 0 reads only the
-    frozen embeddings, and neither attachment changes that work, so no
-    training step changes this cache: encode_with_cache can take it, or its
-    take() of some rows, in place of recomputing it.
+    A residual adapter on layer 0 adds its readout to this forward's
+    output; a prompt attends over its projection of the input rows. Layer 0
+    reads only the frozen embeddings, and no attachment changes this work,
+    so no training step changes this cache: encode_with_cache can take it,
+    or its take() of some rows, in place of recomputing it.
     """
     ids = _check_ids(token_ids, stack.vocab)
-    x = stack.embed[ids]
-    if isinstance(attach, PromptBaseline):
-        return project(x, stack.layers[0])
-    return frozen_attn_with_cache(x, stack.layers[0])[1]
+    return frozen_attn_with_cache(stack.embed[ids], stack.layers[0])[1]
 
 
 def encode_with_cache(
@@ -188,14 +190,14 @@ def encode_with_cache(
     stack: EncoderStack,
     adapters: Sequence[Adapter | PromptBaseline] | None = None,
     w=1.0,
-    layer0: FrozenCache | Projection | None = None,
+    layer0: FrozenCache | None = None,
 ) -> tuple[np.ndarray, EncodeCache]:
     """Forward pass keeping intermediates for the training backward.
 
-    layer0, if given, is layer0_cache(token_ids, stack, adapters[0]): it
-    replaces the embedding lookup and layer 0's frozen work, and the token
-    ids are then not read again. Layer 0 then adds only its attachment's
-    readout, residual or prompt.
+    layer0, if given, is layer0_cache(token_ids, stack) or its take() of
+    these rows: it replaces the embedding lookup and layer 0's frozen
+    forward, and the token ids are then not read again. Layer 0 then adds
+    only its attachment's readout, residual or prompt, if it has one.
     """
     if adapters is not None and len(adapters) > stack.depth:
         raise ShapeError(f"{len(adapters)} attachments for a depth-{stack.depth} stack")

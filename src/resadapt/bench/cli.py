@@ -8,14 +8,13 @@ but its stated inputs and outputs; no environment variables are read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ..backbone import EncoderSpec
 from ..errors import ConfigError, ContractError, DivergenceError, ShapeError
-from ..learner import AdapterMode, TaskPool
 from ..pool_io import load_pool, save_pool
 from .config import load_config
 from .continual import evaluate_task, run_continual
@@ -51,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", type=Path, required=True)
     p.add_argument("--tasks", type=Path, required=True)
     p.add_argument("--calibrate", choices=("on", "off"), default="on")
-    p.add_argument("--mode", default="iki", help="iki | prepend | iki-ablation:B")
     p.add_argument("--out", type=Path, required=True, help="directory for CSV output")
 
     p = sub.add_parser("run", help="generate, train, and evaluate end to end")
@@ -94,12 +92,8 @@ def _cmd_gen_tasks(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     spec, stream = _load_stream_dir(args.tasks)
-    enc_spec = EncoderSpec(
-        vocab=spec.vocab,
-        d=cfg.backbone.embed_dim,
-        depth=cfg.backbone.depth,
-        seed=cfg.backbone.backbone_seed,
-    )
+    # The stored stream, not the config, fixes the vocabulary.
+    enc_spec = dataclasses.replace(cfg.encoder, vocab=spec.vocab)
     _, pool = run_continual(stream, enc_spec.build(), cfg.train, calibrate=True, mode=args.mode)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_pool(pool, args.out, enc_spec)
@@ -107,17 +101,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_mode_compat(pool: TaskPool, mode_text: str) -> None:
-    mode = AdapterMode.parse(mode_text)
-    if mode.mechanism != pool.kind:
-        raise ConfigError(
-            f"mode {mode_text!r} needs a {mode.mechanism} pool, file holds {pool.kind}"
-        )
-
-
 def _cmd_eval(args) -> int:
     pool, enc_spec = load_pool(args.pool)
-    _check_mode_compat(pool, args.mode)
     if len(pool) == 0:
         raise ConfigError("pool file holds no task entries")
     spec, stream = _load_stream_dir(args.tasks)
@@ -137,12 +122,7 @@ def _cmd_eval(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     stream = gen_stream(cfg.stream)
-    enc_spec = EncoderSpec(
-        vocab=cfg.stream.vocab,
-        d=cfg.backbone.embed_dim,
-        depth=cfg.backbone.depth,
-        seed=cfg.backbone.backbone_seed,
-    )
+    enc_spec = cfg.encoder
     calibrate = args.calibrate == "on"
     matrix, pool = run_continual(stream, enc_spec.build(), cfg.train, calibrate, args.mode)
     args.out.mkdir(parents=True, exist_ok=True)

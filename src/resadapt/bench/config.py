@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..backbone import DualEncoder, build_dual_encoder
+from ..backbone import EncoderSpec
 from ..errors import ConfigError
 from ..learner import TrainConfig
 from .stream import StreamSpec
@@ -50,10 +50,14 @@ class RunConfig:
     stream: StreamSpec
     backbone: BackboneConfig
 
-    def build_encoder(self) -> DualEncoder:
-        return build_dual_encoder(
-            self.stream.vocab, self.backbone.embed_dim, self.backbone.depth,
-            self.backbone.backbone_seed,
+    @property
+    def encoder(self) -> EncoderSpec:
+        """The dual encoder this config describes, over the stream's vocabulary."""
+        return EncoderSpec(
+            vocab=self.stream.vocab,
+            d=self.backbone.embed_dim,
+            depth=self.backbone.depth,
+            seed=self.backbone.backbone_seed,
         )
 
 
@@ -103,4 +107,5 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"adapter_depth {cfg.train.adapter_depth} exceeds backbone depth {cfg.backbone.depth}"
         )
+    cfg.encoder  # refuses an encoder above EncoderSpec.MAX_PARAMS
     return cfg

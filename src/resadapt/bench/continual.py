@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backbone import DualEncoder, class_embeddings, encode
+from ..backbone import DualEncoder, encode
 from ..errors import ConfigError, ContractError
 from ..learner import (
     AdapterMode,
@@ -21,6 +21,7 @@ from ..learner import (
     TaskPool,
     TrainConfig,
     estimate_task_stats,
+    predict,
     score_entries,
     train_task,
 )
@@ -97,9 +98,7 @@ def zero_shot_sweep(
         raise ContractError("logit_scale must be positive")
     out = []
     for task in stream:
-        feats = encode(task.test_ids, enc.image)
-        text = class_embeddings(task.class_templates, enc.text)
-        preds = np.argmax(feats @ text.T, axis=1)
+        preds = predict(task.test_ids, None, np.ones(len(task.test_ids)), task.class_templates, enc)
         out.append(float((preds == task.test_labels).mean()))
     return out
 
@@ -136,10 +135,7 @@ def manual_weight_sweep(
     """
     out = {}
     for w in weights:
-        feats = encode(task.test_ids, enc.image, entry.adapters.image_adapters, float(w))
-        text = class_embeddings(
-            task.class_templates, enc.text, entry.adapters.text_adapters, float(w)
-        )
-        preds = np.argmax(feats @ text.T, axis=1)
+        pinned = np.full(len(task.test_ids), float(w))
+        preds = predict(task.test_ids, entry.adapters, pinned, task.class_templates, enc)
         out[float(w)] = float((preds == task.test_labels).mean())
     return out

@@ -47,15 +47,16 @@ class AdapterMode:
     """Parsed training mode: which mechanism and how it is initialized."""
 
     mechanism: str = "residual"  # "residual" or "prepend"
-    zero_init: bool = True
-    init_bound: float | None = None  # ablation override; None -> cfg.k_bound
+    # None: cfg.k_bound, and residual values start at zero. A bound: the
+    # ablation, which draws keys and values on [-bound, bound).
+    init_bound: float | None = None
 
     @staticmethod
     def parse(text: str) -> "AdapterMode":
         if text == MODE_RESIDUAL:
-            return AdapterMode("residual", True, None)
+            return AdapterMode("residual", None)
         if text == MODE_PREPEND:
-            return AdapterMode("prepend", True, None)
+            return AdapterMode("prepend", None)
         if text.startswith(MODE_ABLATION_PREFIX):
             raw = text[len(MODE_ABLATION_PREFIX):]
             try:
@@ -63,7 +64,7 @@ class AdapterMode:
             except ValueError as exc:
                 raise ConfigError(f"bad ablation bound {raw!r}") from exc
             _check_bound(bound, "ablation bound")
-            return AdapterMode("residual", False, bound)
+            return AdapterMode("residual", bound)
         raise ConfigError(f"unknown mode {text!r}")
 
 
@@ -147,7 +148,7 @@ def _init_attachments(mode: AdapterMode, cfg: TrainConfig, d: int, rng: np.rando
     for _ in range(cfg.adapter_depth):
         if mode.mechanism == "prepend":
             out.append(PromptBaseline(p=rng.uniform(-bound, bound, size=(cfg.prompt_len, d))))
-        elif mode.zero_init:
+        elif mode.init_bound is None:
             out.append(init_adapter(cfg.prompt_len, d, bound, rng))
         else:
             out.append(init_adapter_ablation(cfg.prompt_len, d, bound, rng))
@@ -199,10 +200,10 @@ def train_task(
     fresh initialization.
 
     Layer 0 reads only frozen embeddings, and neither branch changes its
-    frozen work: the frozen forward a residual adapter adds to, or the
-    projection of the input rows a prompt attends over. That work over
-    every training row and every template is computed once per task; each
-    step takes its batch's rows and adds only the layer-0 readout.
+    frozen forward: a residual adapter adds to its output, a prompt attends
+    over its projection of the input rows. That forward over every
+    training row and every template is computed once per task; each step
+    takes its batch's rows and adds only the layer-0 readout.
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -222,8 +223,8 @@ def train_task(
     steps_per_epoch = max(1, math.ceil(n / cfg.batch))
     total_steps = cfg.epochs * steps_per_epoch
     if cfg.epochs > 0:
-        img0 = layer0_cache(train_ids, enc.image, img_att[0])
-        txt0 = layer0_cache(template_ids, enc.text, txt_att[0])
+        img0 = layer0_cache(train_ids, enc.image)
+        txt0 = layer0_cache(template_ids, enc.text)
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -273,6 +274,35 @@ def route(
     return task_idx, weights
 
 
+def predict(
+    ids: np.ndarray,
+    adapters: AdapterSet | None,
+    weights: np.ndarray,
+    candidate_classes: Sequence[ClassTemplate],
+    enc: DualEncoder,
+) -> np.ndarray:
+    """Class index of each (B, L) row through one attachment set, row b at weights[b].
+
+    With adapters None this is the frozen model. Both encoders run each row
+    at its own weight, which prompts ignore: the templates are encoded once
+    per distinct weight, then gathered per row. Every encode and product is
+    row-independent, so a row's decision does not depend on which other
+    rows share its batch. The cosine product is an einsum, not a 2-D
+    matmul: BLAS sums a one-row product (gemv) and a larger one (gemm) in
+    different orders.
+    """
+    image, text = (None, None) if adapters is None else (
+        adapters.image_adapters, adapters.text_adapters
+    )
+    feats = encode(ids, enc.image, image, weights)
+    k = len(candidate_classes)
+    w_unique, inverse = np.unique(weights, return_inverse=True)
+    text_feats = np.stack(
+        [class_embeddings(candidate_classes, enc.text, text, np.full(k, w)) for w in w_unique]
+    )
+    return np.argmax(np.einsum("bd,bkd->bk", feats, text_feats[inverse]), axis=1)
+
+
 def classify(
     ids: np.ndarray,
     task_idx: np.ndarray,
@@ -283,35 +313,14 @@ def classify(
 ) -> np.ndarray:
     """Class index of each (B, L) row through its routed entry at its weight.
 
-    Rows are grouped by entry so each group is encoded in one batched pass.
-    Every encode and product is row-independent, so a row's decision does
-    not depend on which other rows share its batch. The cosine products are
-    einsums, not 2-D matmuls: BLAS sums a one-row product (gemv) and a
-    larger one (gemm) in different orders.
+    Rows are grouped by entry, and each group is one predict call.
     """
-    k = len(candidate_classes)
     class_idx = np.zeros(ids.shape[0], dtype=np.int64)
     for t in np.unique(task_idx):
         mask = task_idx == t
-        entry = pool.entries[int(t)]
-        if pool.kind == "prepend":
-            feats = encode(ids[mask], enc.image, entry.adapters.image_adapters)
-            text = class_embeddings(candidate_classes, enc.text, entry.adapters.text_adapters)
-            block = np.einsum("bd,kd->bk", feats, text)
-        else:
-            w_group = weights[mask]
-            feats = encode(ids[mask], enc.image, entry.adapters.image_adapters, w_group)
-            # The text encoder runs at each sample's own w: encode the
-            # templates once per distinct weight, then gather per sample.
-            w_unique, inverse = np.unique(w_group, return_inverse=True)
-            text = np.stack([
-                class_embeddings(
-                    candidate_classes, enc.text, entry.adapters.text_adapters, np.full(k, w)
-                )
-                for w in w_unique
-            ])
-            block = np.einsum("bd,bkd->bk", feats, text[inverse])
-        class_idx[mask] = np.argmax(block, axis=1)
+        class_idx[mask] = predict(
+            ids[mask], pool.entries[int(t)].adapters, weights[mask], candidate_classes, enc
+        )
     return class_idx
 
 

@@ -12,11 +12,13 @@ Layout:
       "gaussian": {"mu": vec, "sigma": mtx, "ridge": hex}}]}
 where mtx = {"rows": r, "cols": c, "data": [hex...]} (row-major),
 vec = {"len": n, "data": [hex...]}, and att is {"k_r": mtx, "v_r": mtx}
-for residual adapters or {"p": mtx} for prompts.
+in a residual pool or {"p": mtx} in a prepend pool.
 
 A Gaussian's Cholesky factor and log-determinant are not stored: the loader
 recomputes both from sigma. Every stored value must be finite and the ridge
-positive. Version 1 files are rejected.
+positive. Every attachment and Gaussian has the encoder's width, and an
+entry holds as many image as text attachments, at most one per layer.
+Version 1 files are rejected.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .numkernel import cholesky_factor, cholesky_logdet, mat, vec
 
 FORMAT_NAME = "resadapt-pool"
 FORMAT_VERSION = 2
+# The keys of one attachment, by pool kind.
+ATTACHMENT_KEYS = {"residual": ["k_r", "v_r"], "prepend": ["p"]}
 
 
 def _enc_mtx(a: np.ndarray) -> dict:
@@ -73,8 +77,11 @@ def _enc_attachment(att) -> dict:
     raise ConfigError(f"cannot serialize attachment {type(att).__name__}")
 
 
-def _dec_attachment(obj: dict):
-    if "p" in obj:
+def _dec_attachment(obj: dict, kind: str):
+    keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if keys != ATTACHMENT_KEYS[kind]:
+        raise ConfigError(f"a {kind} pool's attachments hold {ATTACHMENT_KEYS[kind]}, got {keys}")
+    if kind == "prepend":
         return PromptBaseline(p=_dec_mtx(obj["p"]))
     return Adapter(k_r=_dec_mtx(obj["k_r"]), v_r=_dec_mtx(obj["v_r"]))
 
@@ -118,7 +125,8 @@ def load_pool(path: str | Path) -> tuple[TaskPool, EncoderSpec]:
     except ConfigError:
         raise
     except (
-        KeyError, TypeError, ValueError, ContractError, ShapeError, SingularityError
+        KeyError, TypeError, ValueError, OverflowError, ContractError, ShapeError,
+        SingularityError,
     ) as exc:
         raise ConfigError(f"malformed pool file {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -136,13 +144,28 @@ def _decode_gaussian(g: dict) -> TaskGaussian:
     )
 
 
+def _decode_entry(e: dict, kind: str, encoder: EncoderSpec) -> PoolEntry:
+    image = tuple(_dec_attachment(a, kind) for a in e["image_adapters"])
+    text = tuple(_dec_attachment(a, kind) for a in e["text_adapters"])
+    if len(image) != len(text) or len(image) > encoder.depth:
+        raise ConfigError(f"an entry holds {len(image)} image and {len(text)} text attachments, "
+                          f"not an equal number up to the encoder depth {encoder.depth}")
+    gaussian = _decode_gaussian(e["gaussian"])
+    widths = {a.d for a in image + text} | {gaussian.d, *gaussian.sigma.shape}
+    if widths != {encoder.d}:
+        raise ConfigError(f"an entry's attachment and Gaussian widths {sorted(widths)} "
+                          f"are not the encoder's embed_dim {encoder.d}")
+    return PoolEntry(adapters=AdapterSet(image_adapters=image, text_adapters=text), gaussian=gaussian)
+
+
 def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ConfigError(f"not a {FORMAT_NAME} file: {path}")
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported pool version {doc.get('version')}")
-    if doc.get("kind") not in ("residual", "prepend"):
-        raise ConfigError(f"unknown pool kind {doc.get('kind')!r}")
+    kind = doc.get("kind")
+    if kind not in tuple(ATTACHMENT_KEYS):  # a tuple: kind may be unhashable
+        raise ConfigError(f"unknown pool kind {kind!r}")
     enc_doc = doc.get("encoder")
     if not isinstance(enc_doc, dict):
         raise ConfigError("pool file is missing its encoder record")
@@ -152,14 +175,5 @@ def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
         depth=int(enc_doc["depth"]),
         seed=int(enc_doc["seed"]),
     )
-    entries = [
-        PoolEntry(
-            adapters=AdapterSet(
-                image_adapters=tuple(_dec_attachment(a) for a in e["image_adapters"]),
-                text_adapters=tuple(_dec_attachment(a) for a in e["text_adapters"]),
-            ),
-            gaussian=_decode_gaussian(e["gaussian"]),
-        )
-        for e in doc["entries"]
-    ]
-    return TaskPool(entries=entries, kind=doc["kind"]), encoder
+    entries = [_decode_entry(e, kind, encoder) for e in doc["entries"]]
+    return TaskPool(entries=entries, kind=kind), encoder

@@ -19,7 +19,6 @@ from resadapt.attention import (
     prepend_attn_backward,
     prepend_attn_with_cache,
     prepend_readout,
-    project,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
@@ -193,13 +192,14 @@ def test_prepend_equals_attention_over_concat_bitwise(b, length, l, d):
 
 
 def test_prepend_readout_over_taken_projection_bitwise_equal():
-    # Layer 0's projection over a whole training set, restricted to a batch,
-    # must give the batch's own prepend forward and backward bit for bit.
+    # Layer 0's frozen forward over a whole training set, restricted to a
+    # batch, is a projection that must give the batch's own prepend forward
+    # and backward bit for bit.
     rng = make_rng(24)
     p = random_frozen_attention(4, rng)
     prompt = PromptBaseline(p=rng.normal(size=(2, 4)))
     x = rng.normal(size=(9, 3, 4))
-    whole = project(x, p)
+    _, whole = frozen_attn_with_cache(x, p)
     for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
         got, got_cache = prepend_readout(whole.take(idx), prompt)
         want, want_cache = prepend_attn_with_cache(x[idx], p, prompt)
@@ -207,7 +207,7 @@ def test_prepend_readout_over_taken_projection_bitwise_equal():
         # The taken rows hold what a readout and its prompt backward read.
         for name in ("x", "q", "v", "scores"):
             assert np.array_equal(getattr(got_cache.proj, name), getattr(want_cache.proj, name))
-        assert got_cache.proj.k is None
+        assert got_cache.proj.k is got_cache.proj.attn is None
         d_out = rng.normal(size=got.shape)
         none, d_prompt = prepend_attn_backward(got_cache, d_out, input_grad=False)
         _, want_d_prompt = prepend_attn_backward(want_cache, d_out, input_grad=False)
@@ -322,9 +322,9 @@ def test_readout_over_batch_cache_rows_bitwise_equal():
         assert np.array_equal(got, want)
         assert np.array_equal(got_cache.attn_r, want_cache.attn_r)
         # The taken rows hold what a readout and its parameter backward read.
-        for name in ("x", "q", "out"):
+        for name in ("x", "q", "v", "scores", "out"):
             assert np.array_equal(getattr(got_cache.frozen, name), getattr(want_cache.frozen, name))
-        assert got_cache.frozen.k is got_cache.frozen.v is got_cache.frozen.attn is None
+        assert got_cache.frozen.k is got_cache.frozen.attn is None
         d_out = rng.normal(size=got.shape)
         _, d_k, d_v = residual_attn_backward(got_cache, d_out, input_grad=False)
         _, want_k, want_v = residual_attn_backward(want_cache, d_out, input_grad=False)

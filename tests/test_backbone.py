@@ -155,27 +155,45 @@ def test_encode_backward_matches_finite_differences(small_encoder):
         assert np.abs(analytic - numeric).max() / scale <= 1e-4
 
 
-@pytest.mark.parametrize("n_adapters", [1, 2])
-def test_layer0_cache_rows_give_identical_features_and_grads(small_encoder, n_adapters):
-    # Training computes layer 0 once for all rows and takes each batch from
-    # it; features and gradients must equal encoding the batch from ids.
+def _adapters(rng, n):
+    return [
+        Adapter(k_r=rng.normal(size=(3, 8)), v_r=rng.normal(size=(3, 8)) * 0.3) for _ in range(n)
+    ]
+
+
+def _prompts(rng, n):
+    return [PromptBaseline(p=rng.normal(size=(3, 8)) * 0.5) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _adapters(rng, 1),
+        lambda rng: _adapters(rng, 2),
+        lambda rng: _prompts(rng, 1),
+        lambda rng: _prompts(rng, 2),
+        lambda rng: None,
+    ],
+    ids=["adapter-1", "adapter-2", "prompt-1", "prompt-2", "none"],
+)
+def test_layer0_cache_rows_give_identical_features_and_grads(small_encoder, make):
+    # Training computes layer 0's frozen forward once for all rows and takes
+    # each batch from it, whatever sits on layer 0; features and gradients
+    # must equal encoding the batch from ids.
     rng = make_rng(7)
     ids = rng.integers(0, 64, size=(12, 6))
-    adapters = [
-        Adapter(k_r=rng.normal(size=(3, 8)), v_r=rng.normal(size=(3, 8)) * 0.3)
-        for _ in range(n_adapters)
-    ]
+    attach = make(rng)
     whole = layer0_cache(ids, small_encoder.image)
     idx = rng.permutation(12)[:5]
     d_feats = rng.normal(size=(5, 8))
-    feats, cache = encode_with_cache(ids[idx], small_encoder.image, adapters, 1.0, whole.take(idx))
-    ref_feats, ref_cache = encode_with_cache(ids[idx], small_encoder.image, adapters, 1.0)
+    feats, cache = encode_with_cache(ids[idx], small_encoder.image, attach, 1.0, whole.take(idx))
+    ref_feats, ref_cache = encode_with_cache(ids[idx], small_encoder.image, attach, 1.0)
     assert np.array_equal(feats, ref_feats)
-    for got, want in zip(encode_backward(cache, d_feats), encode_backward(ref_cache, d_feats)):
-        if want is None:
-            assert got is None
-        else:
-            assert all(np.array_equal(g, v) for g, v in zip(got, want))
+    got, want = encode_backward(cache, d_feats), encode_backward(ref_cache, d_feats)
+    assert len(got) == len(want) == small_encoder.image.depth
+    for g, w in zip(got, want):
+        # None, (d_k_r, d_v_r) or d_prompt
+        assert (g is None and w is None) or np.array_equal(g, w)
 
 
 def test_encode_backward_prompt_grads_match_finite_differences(small_encoder):
@@ -199,35 +217,13 @@ def test_encode_backward_prompt_grads_match_finite_differences(small_encoder):
         assert np.abs(grads[i].ravel() - numeric).max() / scale <= 1e-4
 
 
-@pytest.mark.parametrize("n_prompts", [1, 2])
-def test_layer0_prompt_cache_rows_give_identical_features_and_grads(small_encoder, n_prompts):
-    # Prepend training projects layer 0's input rows once for all rows and
-    # takes each batch from it; features and gradients must equal encoding
-    # the batch from ids.
-    rng = make_rng(14)
-    ids = rng.integers(0, 64, size=(12, 6))
-    prompts = [PromptBaseline(p=rng.normal(size=(3, 8)) * 0.5) for _ in range(n_prompts)]
-    whole = layer0_cache(ids, small_encoder.image, prompts[0])
-    idx = rng.permutation(12)[:5]
-    d_feats = rng.normal(size=(5, 8))
-    feats, cache = encode_with_cache(ids[idx], small_encoder.image, prompts, 1.0, whole.take(idx))
-    ref_feats, ref_cache = encode_with_cache(ids[idx], small_encoder.image, prompts, 1.0)
-    assert np.array_equal(feats, ref_feats)
-    got, want = encode_backward(cache, d_feats), encode_backward(ref_cache, d_feats)
-    assert len(got) == len(want) == small_encoder.image.depth
-    for g, w in zip(got, want):
-        assert (g is None and w is None) or np.array_equal(g, w)
-
-
 def test_layer0_cache_must_match_ids_and_stack(small_encoder):
-    # Each attachment kind has its layer-0 cache, and a cache serves only the
-    # token ids and the stack it was built from.
+    # One layer-0 cache serves every attachment kind, but only the token ids
+    # and the stack it was built from.
     rng = make_rng(8)
     ids = rng.integers(0, 64, size=(4, 6))
-    adapters = [init_adapter(3, 8, 0.02, rng)]
-    prompt = [PromptBaseline(p=rng.normal(size=(3, 8)))]
-    for attach in (adapters, prompt):
-        cache = layer0_cache(ids, small_encoder.image, attach[0])
+    cache = layer0_cache(ids, small_encoder.image)
+    for attach in ([init_adapter(3, 8, 0.02, rng)], [PromptBaseline(p=rng.normal(size=(3, 8)))], None):
         feats, _ = encode_with_cache(ids, small_encoder.image, attach, 1.0, cache)
         assert np.array_equal(feats, encode_with_cache(ids, small_encoder.image, attach, 1.0)[0])
         with pytest.raises(ContractError):
@@ -236,14 +232,6 @@ def test_layer0_cache_must_match_ids_and_stack(small_encoder):
             encode_with_cache(ids, small_encoder.text, attach, 1.0, cache)
         with pytest.raises(ContractError):
             encode_with_cache(ids, small_encoder.image, attach, 1.0, cache.take(np.arange(3)))
-    residual_cache = layer0_cache(ids, small_encoder.image)
-    prompt_cache = layer0_cache(ids, small_encoder.image, prompt[0])
-    with pytest.raises(ContractError):
-        encode_with_cache(ids, small_encoder.image, prompt, 1.0, residual_cache)
-    with pytest.raises(ContractError):
-        encode_with_cache(ids, small_encoder.image, adapters, 1.0, prompt_cache)
-    with pytest.raises(ContractError):
-        encode_with_cache(ids, small_encoder.image, None, 1.0, residual_cache)
 
 
 def test_encode_backward_skips_frozen_backward_at_layer_0(small_encoder, monkeypatch):

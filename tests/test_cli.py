@@ -40,6 +40,14 @@ SMALL_RUN_DIGESTS = {
     "prepend": "4f5ad05865e9dec98f4d14ed6b4a605801585cdce208ffd1d236fbc7394c0ec3",
 }
 
+# The same digest of `resadapt run --config configs/default.cfg`, the pinned
+# desk-scale experiment that perfbench's default and prepend workloads run.
+DEFAULT_CFG = SMALL_CFG.parent / "default.cfg"
+DEFAULT_RUN_DIGESTS = {
+    "iki": "644b3478cea4510af94966c00f12889e1afff8b234f1d517adae7d15b10bf8c6",
+    "prepend": "76464f548969bbfce6909357b2981cabc67b9bf08ea1d2882b607f5368be6b41",
+}
+
 # One full batch per epoch at a learning rate that trains huge but finite
 # adapters in one step.
 HUGE_LR_CFG = """\
@@ -75,6 +83,15 @@ def pool_file(tmp_path, cfg_file, stream_dir):
     out = tmp_path / "pool.json"
     code = main(["train", "--config", str(cfg_file), "--tasks", str(stream_dir),
                  "--out", str(out)])
+    assert code == 0
+    return out
+
+
+@pytest.fixture()
+def prepend_pool_file(tmp_path, cfg_file, stream_dir):
+    out = tmp_path / "prompts.json"
+    code = main(["train", "--config", str(cfg_file), "--tasks", str(stream_dir),
+                 "--mode", "prepend", "--out", str(out)])
     assert code == 0
     return out
 
@@ -142,11 +159,35 @@ class TestEval:
                      "--calibrate", "off", "--out", str(tmp_path / "e")])
         assert code == 0
 
-    def test_pool_kind_mismatch_exits_2(self, tmp_path, stream_dir, pool_file, capsys):
-        code = main(["eval", "--pool", str(pool_file), "--tasks", str(stream_dir),
-                     "--mode", "prepend", "--out", str(tmp_path / "e")])
-        assert code == 2
-        assert "prepend" in capsys.readouterr().err
+    def test_mode_flag_rejected(self, tmp_path, stream_dir, pool_file):
+        # The pool file stores its kind; no flag restates it.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pool", str(pool_file), "--tasks", str(stream_dir),
+                  "--mode", "iki", "--out", str(tmp_path / "e")])
+        assert exc.value.code == 2
+
+    def test_prepend_pool_evaluates_without_flag(self, tmp_path, stream_dir, prepend_pool_file):
+        out = tmp_path / "e"
+        code = main(["eval", "--pool", str(prepend_pool_file), "--tasks", str(stream_dir),
+                     "--out", str(out)])
+        assert code == 0
+        assert (out / "grid.csv").is_file()
+
+    def test_pool_kind_mismatch_exits_2(
+        self, tmp_path, stream_dir, pool_file, prepend_pool_file, capsys
+    ):
+        # A pool relabelled as the other kind holds the wrong attachments.
+        for path, other in ((pool_file, "prepend"), (prepend_pool_file, "residual")):
+            doc = json.loads(path.read_text())
+            doc["kind"] = other
+            bad = tmp_path / f"as_{other}.json"
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = main(["eval", "--pool", str(bad), "--tasks", str(stream_dir),
+                         "--out", str(tmp_path / "e")])
+            assert code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"a {other} pool's attachments hold" in err[0], err
 
     def test_empty_pool_exits_2(self, tmp_path, stream_dir):
         empty = tmp_path / "empty.json"
@@ -331,6 +372,71 @@ def _replaced(doc, path, value):
     return doc
 
 
+def _set_encoder(**fields):
+    def mutate(doc):
+        doc["encoder"].update(fields)
+    return mutate
+
+
+def _set_entry(key, value):
+    def mutate(doc):
+        doc["entries"][0][key] = value
+    return mutate
+
+
+# Each mutation of a stored pool that loading used to accept, or died on
+# with a traceback: the entries no longer match the encoder record.
+POOL_MUTATIONS = {
+    "huge-embed-dim": (_set_encoder(embed_dim=2**70), "above the cap of 16777216"),
+    "huge-depth": (_set_encoder(depth=10**9), "above the cap of 16777216"),
+    "no-text-adapters": (_set_entry("text_adapters", []), "2 image and 0 text attachments"),
+    "more-attachments-than-layers": (_set_encoder(depth=1), "up to the encoder depth 1"),
+    "wider-encoder": (_set_encoder(embed_dim=16), "widths [8] are not the encoder's embed_dim 16"),
+    "narrow-gaussian": (
+        _set_entry("gaussian", {"mu": {"len": 1, "data": ["0x0.0p+0"]},
+                                "sigma": {"rows": 1, "cols": 1, "data": ["0x1.0p+0"]},
+                                "ridge": "0x1.0p-20"}),
+        "widths [1, 8] are not the encoder's embed_dim 8",
+    ),
+}
+
+
+class TestPoolBoundary:
+    @pytest.mark.parametrize("name", sorted(POOL_MUTATIONS))
+    def test_mutated_pool_exits_2(self, tmp_path, stream_dir, pool_file, capsys, name):
+        mutate, message = POOL_MUTATIONS[name]
+        doc = json.loads(pool_file.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad_pool.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--pool", str(bad), "--tasks", str(stream_dir),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0], err
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_any_one_value_mutation_exits_0_or_2(
+        self, tmp_path, stream_dir, pool_file, prepend_pool_file, capsys, data
+    ):
+        # One JSON value anywhere in a residual or prepend pool replaced by
+        # another: eval either accepts the file or exits 2 with one stderr line.
+        source = data.draw(st.sampled_from([pool_file, prepend_pool_file]))
+        doc = json.loads(source.read_text())
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(st.sampled_from(FUZZ_VALUES))
+        bad = tmp_path / "fuzzed.json"
+        bad.write_text(json.dumps(_replaced(doc, path, value)))
+        capsys.readouterr()
+        code = main(["eval", "--pool", str(bad), "--tasks", str(stream_dir), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code in (0, 2) and len(err) <= (code == 2), (path, value, code, err)
+
+
 class TestRun:
     def test_end_to_end_outputs(self, tmp_path, cfg_file):
         out = tmp_path / "run"
@@ -358,6 +464,23 @@ class TestRun:
         assert main(["run", "--config", str(SMALL_CFG), "--mode", mode, "--out", str(out)]) == 0
         data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == SMALL_RUN_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode", sorted(DEFAULT_RUN_DIGESTS))
+    def test_default_config_outputs_pinned(self, tmp_path, mode):
+        out = tmp_path / mode
+        assert main(["run", "--config", str(DEFAULT_CFG), "--mode", mode, "--out", str(out)]) == 0
+        data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == DEFAULT_RUN_DIGESTS[mode]
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_oversized_encoder_exits_2(self, tmp_path, capsys, stream_dir, command):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(TINY_CFG.replace("\ndepth = 2", "\ndepth = 1000000"))
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert main(args + (["--tasks", str(stream_dir)] if command == "train" else [])) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "above the cap of 16777216" in err[0], err
 
     @pytest.mark.parametrize(
         "epochs,message", [(1, "features are not finite"), (2, "non-finite loss at step 1")]

@@ -102,7 +102,7 @@ class TestLoad:
     def test_build_encoder_dimensions(self, tmp_path):
         path = tmp_path / "tiny.cfg"
         path.write_text("vocab = 64\nembed_dim = 8\ndepth = 2\n")
-        enc = load_config(path).build_encoder()
+        enc = load_config(path).encoder.build()
         assert enc.image.vocab == 64 and enc.image.d == 8
         assert enc.image.depth == 2
         assert enc.image.embed is enc.text.embed

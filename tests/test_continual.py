@@ -94,7 +94,7 @@ class TestRunContinual:
     @pytest.mark.parametrize("mode", sorted(SMALL_ADAPTER_DIGESTS))
     def test_small_config_adapters_pinned(self, mode):
         cfg = load_config(SMALL_CFG)
-        _, pool = run_continual(gen_stream(cfg.stream), cfg.build_encoder(), cfg.train, True, mode)
+        _, pool = run_continual(gen_stream(cfg.stream), cfg.encoder.build(), cfg.train, True, mode)
         h = hashlib.sha256()
         for entry in pool.entries:
             for att in entry.adapters.image_adapters + entry.adapters.text_adapters:

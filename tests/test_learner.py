@@ -193,8 +193,8 @@ class TestCosineSchedule:
 class TestAdapterMode:
     def test_parse_residual(self):
         mode = AdapterMode.parse("iki")
-        assert mode.mechanism == "residual" and mode.zero_init
-        assert mode.init_bound is None
+        # No ablation bound: keys on [-k_bound, k_bound), values at zero.
+        assert mode.mechanism == "residual" and mode.init_bound is None
 
     def test_parse_prepend(self):
         assert AdapterMode.parse("prepend").mechanism == "prepend"
@@ -202,7 +202,6 @@ class TestAdapterMode:
     def test_parse_ablation_bound(self):
         mode = AdapterMode.parse("iki-ablation:0.5")
         assert mode.mechanism == "residual"
-        assert not mode.zero_init
         assert mode.init_bound == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
