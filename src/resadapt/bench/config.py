@@ -107,5 +107,4 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"adapter_depth {cfg.train.adapter_depth} exceeds backbone depth {cfg.backbone.depth}"
         )
-    cfg.encoder  # refuses an encoder above EncoderSpec.MAX_PARAMS
     return cfg
