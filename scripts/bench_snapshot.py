@@ -12,11 +12,12 @@ last stdout line (the metrics JSON), its grid/summary digest and the
 environment it printed.
 
 perfbench's tracer cannot see checkpoint evaluation below evaluate_task:
-it runs InferState.infer, which calls route and classify, and none of the
-three is a traced target. So this script also runs run_continual on each
-workload in process, with those three wrapped from outside by perfbench's
-own Tracer (originals restored on exit), and records their calls and
-seconds per pass under the key "eval_calls".
+it runs InferState.infer, which calls route and classify, which calls
+predict once per routed group, and none of the four is a traced target.
+So this script also runs run_continual on each workload in process, with
+those four and class_embeddings (predict's text encode) wrapped from
+outside by perfbench's own Tracer (originals restored on exit), and
+records their calls and seconds per pass under the key "eval_calls".
 
 --root names the checkout to measure (default: the one holding this
 script), so a parent commit can be measured with the same writer. The file
@@ -68,7 +69,7 @@ def _git(root: Path) -> dict:
 
 
 def _eval_calls(root: Path, workload: str) -> dict:
-    """Per-pass calls and seconds of infer/route/classify over run_continual."""
+    """Per-pass calls and seconds of the evaluation spans over run_continual."""
     run = importlib.import_module("run")  # perfbench/run.py, on sys.path
     tracer_mod = importlib.import_module("tracer")  # perfbench/tracer.py
     continual = importlib.import_module("resadapt.bench.continual")
@@ -76,12 +77,15 @@ def _eval_calls(root: Path, workload: str) -> dict:
     wl = run.load_workload(workload, SEED)
     stream, enc = run.stream_mod.gen_stream(wl.stream), wl.encoder.build()
     continual.run_continual(stream[:2], enc, wl.train, run.CALIBRATE, wl.mode)  # warm-up
-    # route and classify are module functions, which Tracer.installed()
-    # replaces in every resadapt namespace; InferState.infer is a method,
-    # so it is set on the class by hand.
+    # route, classify, predict and class_embeddings are module functions,
+    # which Tracer.installed() replaces in every resadapt namespace;
+    # InferState.infer is a method, so it is set on the class by hand.
     Target = tracer_mod.Target
     infer = Target("resadapt.learner", "infer", "learner.InferState")
-    tracer = tracer_mod.Tracer([Target("resadapt.learner", f, "learner") for f in ("route", "classify")])
+    tracer = tracer_mod.Tracer(
+        [Target("resadapt.learner", f, "learner") for f in ("route", "classify", "predict")]
+        + [Target("resadapt.backbone", "class_embeddings", "backbone")]
+    )
     spans = [infer.span] + [t.span for t in tracer.targets]
     passes = []
     original = learner.InferState.infer

@@ -19,13 +19,19 @@ import numpy as np
 from ..errors import ContractError, ShapeError
 
 
+def check_accuracies(p) -> np.ndarray:
+    """p as float64, every entry in [0, 1]; NaN fails the test."""
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ContractError("accuracies must lie in [0, 1]")
+    return p
+
+
 def check_matrix(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise ShapeError(f"accuracy matrix must be square and non-empty, got {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ContractError("accuracies must lie in [0, 1]")
-    return p
+    return check_accuracies(p)
 
 
 def metric_transfer(p: np.ndarray) -> tuple[list[float], float]:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import check_matrix, metric_avg, metric_last, metric_transfer
+from ..errors import ShapeError
+from .metrics import check_accuracies, check_matrix, metric_avg, metric_last, metric_transfer
 
 GRID_HEADER = "trained_task,eval_task,accuracy"
 SUMMARY_HEADER = "metric,task,value"
@@ -63,17 +64,20 @@ def write_eval_csv(
 ) -> tuple[Path, Path]:
     """Single-checkpoint evaluation: grid rows for one trained_task index
     plus a summary holding only `last` rows."""
+    accs = check_accuracies(accuracies)
+    if accs.ndim != 1 or accs.size < 1:
+        raise ShapeError(f"accuracies must be a non-empty list, got shape {accs.shape}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid_lines = [GRID_HEADER]
-    for j, v in enumerate(accuracies):
+    for j, v in enumerate(accs):
         grid_lines.append(f"{trained_task},{j},{_fmt(v)}")
     grid_path = out / "grid.csv"
     grid_path.write_text("\n".join(grid_lines) + "\n")
     summary_lines = [SUMMARY_HEADER]
-    for j, v in enumerate(accuracies):
+    for j, v in enumerate(accs):
         summary_lines.append(f"last,{j},{_fmt(v)}")
-    summary_lines.append(f"last,aggregate,{_fmt(float(np.mean(accuracies)))}")
+    summary_lines.append(f"last,aggregate,{_fmt(float(np.mean(accs)))}")
     summary_path = out / "summary.csv"
     summary_path.write_text("\n".join(summary_lines) + "\n")
     return grid_path, summary_path

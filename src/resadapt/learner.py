@@ -284,8 +284,9 @@ def predict(
     """Class index of each (B, L) row through one attachment set, row b at weights[b].
 
     With adapters None this is the frozen model. Both encoders run each row
-    at its own weight, which prompts ignore: the templates are encoded once
-    per distinct weight, then gathered per row. Every encode and product is
+    at its own weight, which prompts ignore: one text encode covers the K
+    templates tiled once per distinct weight (U*K rows), and each row
+    gathers the K embeddings at its weight. Every encode and product is
     row-independent, so a row's decision does not depend on which other
     rows share its batch. The cosine product is an einsum, not a 2-D
     matmul: BLAS sums a one-row product (gemv) and a larger one (gemm) in
@@ -297,9 +298,9 @@ def predict(
     feats = encode(ids, enc.image, image, weights)
     k = len(candidate_classes)
     w_unique, inverse = np.unique(weights, return_inverse=True)
-    text_feats = np.stack(
-        [class_embeddings(candidate_classes, enc.text, text, np.full(k, w)) for w in w_unique]
-    )
+    text_feats = class_embeddings(
+        list(candidate_classes) * len(w_unique), enc.text, text, np.repeat(w_unique, k)
+    ).reshape(len(w_unique), k, -1)
     return np.argmax(np.einsum("bd,bkd->bk", feats, text_feats[inverse]), axis=1)
 
 

@@ -29,6 +29,7 @@ from resadapt.learner import (
     cosine_lr,
     estimate_task_stats,
     infer_batch,
+    predict,
     route,
     score_entries,
     train_task,
@@ -512,7 +513,7 @@ class TestInferBatch:
 
 class TestRouteAndClassify:
     def test_templates_once_per_weight_match_per_sample_encoding(self, trained, small_encoder):
-        # classify encodes the templates once per distinct w; the features
+        # classify encodes the templates at each distinct w; the features
         # must equal, bit for bit, the per-(sample, class) tiled encoding.
         task, entry = trained
         template_ids = np.stack([c.token_ids() for c in task.class_templates])
@@ -608,6 +609,64 @@ class TestRouteAndClassify:
         assert scores.shape == (len(task.test_ids), 0)
         with pytest.raises(ContractError):
             route(scores, TaskPool())
+
+
+def _predict_per_weight(ids, adapters, weights, classes, enc):
+    """predict's oracle: the templates encoded once per distinct weight.
+
+    Returns each row's (K, d) text features and its decision.
+    """
+    image, text = (None, None) if adapters is None else (
+        adapters.image_adapters, adapters.text_adapters
+    )
+    feats = encode(ids, enc.image, image, weights)
+    w_unique, inverse = np.unique(weights, return_inverse=True)
+    per_w = np.stack(
+        [class_embeddings(classes, enc.text, text, np.full(len(classes), w)) for w in w_unique]
+    )
+    text_rows = per_w[inverse]
+    return text_rows, np.argmax(np.einsum("bd,bkd->bk", feats, text_rows), axis=1)
+
+
+# The gate's extremes: 0, 1, its clip floor (the smallest subnormal) and
+# its ceiling (the largest double below 1).
+EDGE_WEIGHTS = [0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0))]
+
+
+class TestPredictOneTextEncode:
+    @staticmethod
+    def _weights(distinct: int, m: int) -> np.ndarray:
+        values = EDGE_WEIGHTS + list(np.linspace(0.01, 0.99, max(distinct - 4, 0)))
+        w = np.resize(values[:distinct], m)
+        return make_rng(0, 3, distinct).permutation(w)
+
+    @pytest.mark.parametrize("kind", ["residual", "prepend", "none"])
+    @pytest.mark.parametrize("distinct", [1, 2, 4, 64])
+    def test_one_class_embeddings_call_equals_per_weight_oracle(
+        self, trained, trained_prepend, small_encoder, monkeypatch, kind, distinct
+    ):
+        task, entry = trained_prepend if kind == "prepend" else trained
+        adapters = None if kind == "none" else entry.adapters
+        classes = task.class_templates
+        ids = np.resize(task.test_ids, (96, task.test_ids.shape[1]))
+        w = self._weights(distinct, len(ids))
+        assert len(np.unique(w)) == distinct
+        calls = []
+
+        def counted(*args, **kwargs):
+            out = class_embeddings(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(learner, "class_embeddings", counted)
+        got = predict(ids, adapters, w, classes, small_encoder)
+        assert len(calls) == 1
+        assert calls[0].shape == (distinct * len(classes), small_encoder.text.d)
+        text_rows, expected = _predict_per_weight(ids, adapters, w, classes, small_encoder)
+        _, inverse = np.unique(w, return_inverse=True)
+        gathered = calls[0].reshape(distinct, len(classes), -1)[inverse]
+        assert gathered.tobytes() == text_rows.tobytes()
+        assert np.array_equal(got, expected)
 
 
 class TestPrepend:

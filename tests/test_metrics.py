@@ -117,6 +117,18 @@ class TestValidation:
         with pytest.raises(ContractError):
             check_matrix(p)
 
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 2), (1, 2), (2, 1)])
+    @pytest.mark.parametrize(
+        "fn", [check_matrix, metric_transfer, metric_avg, metric_last]
+    )
+    def test_nan_cell_rejected(self, fn, cell):
+        # NaN compares false both ways, so a range test must be written
+        # so that it fails, not so that it passes.
+        p = np.full((3, 3), 0.5)
+        p[cell] = np.nan
+        with pytest.raises(ContractError):
+            fn(p)
+
     def test_inputs_not_mutated(self):
         p = HAND.copy()
         metric_transfer(p)

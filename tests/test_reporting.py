@@ -80,6 +80,14 @@ class TestDeterminismAndErrors:
         with pytest.raises(ContractError):
             write_csv(np.array([[1.5]]), tmp_path)
 
+    def test_rejects_nan_and_writes_nothing(self, tmp_path):
+        p = np.full((3, 3), 0.5)
+        p[1, 2] = np.nan
+        with pytest.raises(ContractError):
+            write_csv(p, tmp_path)
+        assert not (tmp_path / "grid.csv").exists()
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestEvalCsv:
     def test_single_checkpoint_rows(self, tmp_path):
@@ -91,3 +99,14 @@ class TestEvalCsv:
             "metric,task,value\n"
             "last,0,0.500000\nlast,1,0.250000\nlast,aggregate,0.375000\n"
         )
+
+    @pytest.mark.parametrize("accs", [[0.5, float("nan")], [0.5, 1.5], [-0.1]])
+    def test_rejects_out_of_range_and_writes_nothing(self, tmp_path, accs):
+        with pytest.raises(ContractError):
+            write_eval_csv(accs, trained_task=1, out_dir=tmp_path)
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("accs", [[], [[0.5]]])
+    def test_rejects_empty_or_nested(self, tmp_path, accs):
+        with pytest.raises(ShapeError):
+            write_eval_csv(accs, trained_task=0, out_dir=tmp_path)
