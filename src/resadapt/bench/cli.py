@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ConfigError, ContractError, DivergenceError, ShapeError
 from ..pool_io import load_pool, save_pool
 from .config import load_config
-from .continual import evaluate_task, run_continual
+from .continual import evaluate_task, run_continual, train_pool
 from .reporting import write_csv, write_eval_csv
 from .stream import StreamSpec, gen_stream, load_stream, save_stream
 from .verify import SUITES, run_suite
@@ -58,9 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="iki", help="iki | prepend | iki-ablation:B")
     p.add_argument("--out", type=Path, required=True, help="directory for all outputs")
 
-    p = sub.add_parser("verify", help="run numerical verification suites")
+    p = sub.add_parser(
+        "verify", help="run numerical verification suites and the paper's claims"
+    )
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="suite seed; for claims, the stream seed")
     return parser
 
 
@@ -94,7 +96,7 @@ def _cmd_train(args) -> int:
     spec, stream = _load_stream_dir(args.tasks)
     # The stored stream, not the config, fixes the vocabulary.
     enc_spec = dataclasses.replace(cfg.encoder, vocab=spec.vocab)
-    _, pool = run_continual(stream, enc_spec.build(), cfg.train, calibrate=True, mode=args.mode)
+    pool = train_pool(stream, enc_spec.build(), cfg.train, args.mode)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_pool(pool, args.out, enc_spec)
     print(f"wrote {args.out}: {len(pool)} task entries ({pool.kind})")

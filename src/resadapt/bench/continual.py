@@ -1,14 +1,17 @@
 """Domain-class incremental runs over a task stream.
 
-run_continual trains tasks in order. For task i it first computes frozen
-feature statistics, then trains the attachments, appends the immutable pool
-entry, and evaluates every task's test split with the pool as it stands,
-filling row i of the accuracy matrix. Entries for j <= i use learned
-adapters; entries for j > i measure what the partly-trained system does on
-data it has never seen (with calibration on, effectively the frozen model).
+Tasks are learned in order. For task i the harness first computes frozen
+feature statistics, then trains the attachments and appends the immutable
+pool entry. train_pool stops there; run_continual then evaluates every
+task's test split with the pool as it stands, filling row i of the accuracy
+matrix. Entries for j <= i use learned adapters; entries for j > i measure
+what the partly-trained system does on data it has never seen (with
+calibration on, effectively the frozen model).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -52,24 +55,15 @@ def evaluate_task(
     return float((class_idx == task.test_labels).mean())
 
 
-def run_continual(
-    stream: list[Task],
-    enc: DualEncoder,
-    cfg: TrainConfig,
-    calibrate: bool = True,
-    mode: str | AdapterMode = "iki",
-) -> tuple[np.ndarray, TaskPool]:
-    """Train the stream in order; returns (accuracy matrix, final pool)."""
+def _grow_pool(
+    stream: list[Task], enc: DualEncoder, cfg: TrainConfig, mode: str | AdapterMode
+) -> Iterator[TaskPool]:
+    """Learn the stream's tasks in order, yielding the pool after each one."""
     if isinstance(mode, str):
         mode = AdapterMode.parse(mode)
     if not stream:
         raise ConfigError("empty task stream")
-    n = len(stream)
     pool = TaskPool(entries=[], kind=mode.mechanism)
-    matrix = np.zeros((n, n))
-    # One evaluation state per task: each checkpoint scores only the new
-    # entry and re-classifies only the samples it takes over.
-    states = [InferState() for _ in stream]
     for i, task in enumerate(stream):
         # Statistics first, on the frozen encoder; training cannot bias them.
         gaussian = estimate_task_stats(task.train_ids, enc, cfg.ridge)
@@ -83,19 +77,38 @@ def run_continual(
             mode,
         )
         pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
+        yield pool
+
+
+def train_pool(
+    stream: list[Task], enc: DualEncoder, cfg: TrainConfig, mode: str | AdapterMode = "iki"
+) -> TaskPool:
+    """Train the stream in order without evaluating; returns the final pool."""
+    *_, pool = _grow_pool(stream, enc, cfg, mode)
+    return pool
+
+
+def run_continual(
+    stream: list[Task],
+    enc: DualEncoder,
+    cfg: TrainConfig,
+    calibrate: bool = True,
+    mode: str | AdapterMode = "iki",
+) -> tuple[np.ndarray, TaskPool]:
+    """Train the stream in order; returns (accuracy matrix, final pool)."""
+    n = len(stream)
+    matrix = np.zeros((n, n))
+    # One evaluation state per task: each checkpoint scores only the new
+    # entry and re-classifies only the samples it takes over.
+    states = [InferState() for _ in stream]
+    for i, pool in enumerate(_grow_pool(stream, enc, cfg, mode)):
         for j, other in enumerate(stream):
             matrix[i, j] = evaluate_task(other, pool, enc, calibrate, cfg.logit_scale, states[j])
     return matrix, pool
 
 
-def zero_shot_sweep(
-    stream: list[Task], enc: DualEncoder, logit_scale: float = 100.0
-) -> list[float]:
+def zero_shot_sweep(stream: list[Task], enc: DualEncoder) -> list[float]:
     """Frozen-model accuracy per task (no pool, no adapters)."""
-    # The argmax ignores a positive scale; any other scale is an error, as in
-    # infer_batch.
-    if not logit_scale > 0.0:
-        raise ContractError("logit_scale must be positive")
     out = []
     for task in stream:
         preds = predict(task.test_ids, None, np.ones(len(task.test_ids)), task.class_templates, enc)

@@ -1,6 +1,6 @@
 """Self-contained numerical verifiers, runnable from the CLI.
 
-Four suites:
+Five suites:
 
   zero-init       fresh adapters leave encoder outputs identical to the
                   frozen model (the no-interference identity)
@@ -9,6 +9,9 @@ Four suites:
                   force all value rows to stay pairwise identical; random
                   keys break the degeneracy and let the loss fall
   metrics         transfer/avg/last against hand values and brute force
+  claims          the paper's claims on the default desk-scale stream:
+                  calibrated Transfer equals zero-shot, the ablation
+                  ordering on Transfer at equal Last, and the manual dial
 
 Each check contributes one line to the report; a suite passes when every
 line does.
@@ -28,10 +31,17 @@ from ..attention import (
     random_frozen_attention,
     residual_attn_with_cache,
 )
-from ..backbone import build_dual_encoder, encode
+from ..backbone import EncoderSpec, build_dual_encoder, encode
 from ..learner import TrainConfig
 from ..numkernel import finite_diff_grad, make_rng
+from .continual import (
+    assignment_accuracy,
+    manual_weight_sweep,
+    run_continual,
+    zero_shot_sweep,
+)
 from .metrics import metric_avg, metric_last, metric_transfer
+from .stream import StreamSpec, gen_stream
 
 
 @dataclass
@@ -261,11 +271,90 @@ def verify_metrics(seed: int = 0, n_random: int = 100) -> VerifyReport:
     return report
 
 
+# Residual weights the manual dial pins by hand.
+DIAL_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _aggregates(matrix: np.ndarray) -> tuple[float, float, float]:
+    """(Transfer, Avg, Last) of one accuracy matrix."""
+    return tuple(metric(matrix)[1] for metric in (metric_transfer, metric_avg, metric_last))
+
+
+def verify_claims(seed: int = 0) -> VerifyReport:
+    """The paper's claims on the default desk-scale stream, stream seed `seed`.
+
+    Zero-initialised adapters under the calibration gate learn every task and
+    keep zero-shot Transfer. Opening the gate costs Transfer, and random-init
+    values with the gate open cost more, at equal Last: zero init is what
+    protects the frozen model. One task's adapters pinned by hand help their
+    own task and hurt the unseen ones, the tension the gate resolves per
+    sample. The backbone and training seeds stay those of configs/default.cfg.
+    """
+    t0 = time.monotonic()
+    report = VerifyReport(suite="claims")
+    stream = gen_stream(StreamSpec(seed=seed))
+    enc = EncoderSpec().build()
+    cfg = TrainConfig()
+    zs = float(np.mean(zero_shot_sweep(stream, enc)[1:]))  # Transfer covers tasks 1..N-1
+    matrix, pool = run_continual(stream, enc, cfg, True, "iki")
+    open_matrix, _ = run_continual(stream, enc, cfg, False, "iki")
+    ablate_matrix, _ = run_continual(stream, enc, cfg, False, "iki-ablation:1.0")
+    arms = {
+        "calibrated": _aggregates(matrix),
+        "gate open": _aggregates(open_matrix),
+        "random init, gate open": _aggregates(ablate_matrix),
+    }
+    (t_cal, _, l_cal), (t_open, _, _), (t_ablate, _, _) = arms.values()
+    assign = assignment_accuracy(stream, pool, enc)
+    report.check("calibrated Last >= 0.90", l_cal >= 0.90, f"last {l_cal:.4f}")
+    report.check("task assignment >= 0.95", assign >= 0.95, f"assignment {assign:.4f}")
+    gap = abs(t_cal - zs)
+    report.check(
+        "calibrated Transfer within 0.01 of zero-shot",
+        gap <= 0.01,
+        f"transfer {t_cal:.4f}, zero-shot mean over tasks 1..N-1 {zs:.4f}, gap {gap:.4f}",
+    )
+    report.check(
+        "Transfer: calibrated > gate open > random init, gate open",
+        t_cal > t_open > t_ablate,
+        "; ".join(
+            f"{arm} transfer {t:.4f} avg {a:.4f} last {l:.4f}" for arm, (t, a, l) in arms.items()
+        ),
+    )
+    lasts = [l for _, _, l in arms.values()]
+    spread = max(lasts) - min(lasts)
+    report.check("Last spread across the three arms <= 0.02", spread <= 0.02, f"spread {spread:.4f}")
+
+    # The dial: only the first task trained, w pinned on trained vs unseen
+    # data. Task 0's entry does not depend on later tasks, so it is the
+    # calibrated run's first entry.
+    entry = pool.entries[0]
+    trained = manual_weight_sweep(stream[0], entry, enc, DIAL_WEIGHTS)
+    unseen = {w: 0.0 for w in DIAL_WEIGHTS}
+    for task in stream[1:]:
+        for w, acc in manual_weight_sweep(task, entry, enc, DIAL_WEIGHTS).items():
+            unseen[w] += acc / (len(stream) - 1)
+    at = "at w = " + ", ".join(f"{w:g}" for w in DIAL_WEIGHTS)
+    report.check(
+        "dial: trained task at w = 1 >= at w = 0",
+        trained[1.0] >= trained[0.0],
+        f"{at}: " + " ".join(f"{v:.4f}" for v in trained.values()),
+    )
+    report.check(
+        "dial: unseen tasks at w = 0 >= at w = 1",
+        unseen[0.0] >= unseen[1.0],
+        f"{at}: " + " ".join(f"{v:.4f}" for v in unseen.values()),
+    )
+    report.elapsed = time.monotonic() - t0
+    return report
+
+
 SUITES = {
     "zero-init": verify_zero_init_identity,
     "gradcheck": verify_gradcheck,
     "degenerate-init": verify_degenerate_init,
     "metrics": verify_metrics,
+    "claims": verify_claims,
 }
 
 

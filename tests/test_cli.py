@@ -145,6 +145,28 @@ class TestTrain:
                      "--mode", "bogus", "--out", str(tmp_path / "p.json")])
         assert code == 2
 
+    def test_trains_without_evaluating(self, tmp_path, cfg_file, stream_dir, monkeypatch):
+        # The pool is train's only output; no accuracy matrix is filled.
+        import resadapt.bench.continual as continual
+
+        calls = []
+        real = continual.evaluate_task
+        monkeypatch.setattr(
+            continual, "evaluate_task", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        code = main(["train", "--config", str(cfg_file), "--tasks", str(stream_dir),
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 0 and calls == []
+
+    def test_pool_matches_run(self, tmp_path, cfg_file):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_file), "--out", str(run_dir)]) == 0
+        out = tmp_path / "p.json"
+        code = main(["train", "--config", str(cfg_file), "--tasks", str(run_dir),
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (run_dir / "pool.json").read_bytes()
+
 
 class TestEval:
     def test_writes_csvs(self, tmp_path, stream_dir, pool_file):
