@@ -2,34 +2,17 @@
 
 Each test prints `ACCEPTANCE <n> (<label>): PASS|FAIL - <numbers>` before
 asserting, so a -s run shows the measured values and a plain -v run shows
-one line per criterion. The full-scale runs share module fixtures; the
-whole file must finish well inside the five-minute budget.
+one line per criterion. Criteria 1-7 read the verify suites, which the
+session's `all_reports` fixture runs once: criteria 1-4 read their suite's
+verdict and time, criteria 5-7 the claims suite's measurements. The whole
+file must finish well inside the five-minute budget.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from resadapt.backbone import EncoderSpec
 from resadapt.bench.cli import main
-from resadapt.bench.continual import (
-    assignment_accuracy,
-    manual_weight_sweep,
-    run_continual,
-    zero_shot_sweep,
-)
-from resadapt.bench.metrics import metric_last, metric_transfer
-from resadapt.bench.stream import StreamSpec, gen_stream
-from resadapt.bench.verify import (
-    verify_degenerate_init,
-    verify_gradcheck,
-    verify_metrics,
-    verify_zero_init_identity,
-)
-from resadapt.learner import TrainConfig
-
-WEIGHTS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def report(n: int, label: str, ok: bool, detail: str) -> None:
@@ -37,96 +20,61 @@ def report(n: int, label: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def full_encoder():
-    return EncoderSpec(vocab=256, d=32, depth=2, seed=0).build()
+def suites(all_reports):
+    return {rep.suite: rep for rep in all_reports}
 
 
 @pytest.fixture(scope="module")
-def full_stream():
-    # the pinned desk-scale configuration: 5 tasks, 4 classes, 200 samples
-    return gen_stream(StreamSpec())
+def claims(suites):
+    return suites["claims"].claims
 
 
-@pytest.fixture(scope="module")
-def calibrated_run(full_stream, full_encoder):
-    t0 = time.monotonic()
-    matrix, pool = run_continual(full_stream, full_encoder, TrainConfig(), calibrate=True)
-    return matrix, pool, time.monotonic() - t0
-
-
-def test_criterion_1_zero_init_identity():
-    rep = verify_zero_init_identity()
-    ok = rep.passed and rep.elapsed < 10.0
-    report(1, "zero-init identity", ok, f"elapsed={rep.elapsed:.2f}s")
+def check_suite(rep, n: int, label: str, bound: float) -> None:
+    ok = rep.passed and rep.elapsed < bound
+    report(n, label, ok, f"elapsed={rep.elapsed:.2f}s")
     assert rep.passed, "\n".join(rep.lines)
-    assert rep.elapsed < 10.0
+    assert rep.elapsed < bound
 
 
-def test_criterion_2_gradient_correctness():
-    rep = verify_gradcheck(trials=50)
-    ok = rep.passed and rep.elapsed < 60.0
-    report(2, "gradcheck vs central differences", ok, f"elapsed={rep.elapsed:.2f}s")
-    assert rep.passed, "\n".join(rep.lines)
-    assert rep.elapsed < 60.0
+def test_criterion_1_zero_init_identity(suites):
+    check_suite(suites["zero-init"], 1, "zero-init identity", 10.0)
 
 
-def test_criterion_3_degenerate_init_theorem():
-    rep = verify_degenerate_init()
-    ok = rep.passed and rep.elapsed < 10.0
-    report(3, "degenerate init freezes keys", ok, f"elapsed={rep.elapsed:.2f}s")
-    assert rep.passed, "\n".join(rep.lines)
-    assert rep.elapsed < 10.0
+def test_criterion_2_gradient_correctness(suites):
+    check_suite(suites["gradcheck"], 2, "gradcheck vs central differences", 60.0)
 
 
-def test_criterion_4_metric_formulas():
-    rep = verify_metrics(n_random=100)
-    ok = rep.passed and rep.elapsed < 5.0
-    report(4, "metric formulas", ok, f"elapsed={rep.elapsed:.2f}s")
-    assert rep.passed, "\n".join(rep.lines)
-    assert rep.elapsed < 5.0
+def test_criterion_3_degenerate_init_theorem(suites):
+    check_suite(suites["degenerate-init"], 3, "degenerate init freezes keys", 10.0)
 
 
-def test_criterion_5_synthetic_run(calibrated_run, full_stream, full_encoder):
-    matrix, pool, elapsed = calibrated_run
-    _, last_agg = metric_last(matrix)
-    _, transfer_agg = metric_transfer(matrix)
-    assign = assignment_accuracy(full_stream, pool, full_encoder)
-    zs = zero_shot_sweep(full_stream, full_encoder)
-    zs_agg = float(np.mean(zs[1:]))  # transfer covers tasks 1..N-1
-    gap = abs(transfer_agg - zs_agg)
-    ok = last_agg >= 0.90 and assign >= 0.95 and gap <= 0.01 and elapsed < 300.0
+def test_criterion_4_metric_formulas(suites):
+    check_suite(suites["metrics"], 4, "metric formulas", 5.0)
+
+
+def test_criterion_5_synthetic_run(claims):
+    cal = claims.arms["calibrated"]
+    gap = abs(cal.transfer - claims.zero_shot)
+    elapsed = claims.calibrated_s
+    ok = cal.last >= 0.90 and claims.assignment >= 0.95 and gap <= 0.01 and elapsed < 300.0
     report(
         5,
         "synthetic incremental run",
         ok,
-        f"last={last_agg:.4f} assign={assign:.4f} "
-        f"transfer={transfer_agg:.4f} zero_shot={zs_agg:.4f} gap={gap:.4f} "
+        f"last={cal.last:.4f} assign={claims.assignment:.4f} "
+        f"transfer={cal.transfer:.4f} zero_shot={claims.zero_shot:.4f} gap={gap:.4f} "
         f"elapsed={elapsed:.1f}s",
     )
-    assert last_agg >= 0.90
-    assert assign >= 0.95
+    assert cal.last >= 0.90
+    assert claims.assignment >= 0.95
     assert gap <= 0.01
     assert elapsed < 300.0
 
 
-def test_criterion_6_ablation_ordering(calibrated_run, full_stream, full_encoder):
-    # Both comparison arms run without the calibration gate: with it on, any
-    # initialization's unseen-task weight collapses to zero and Transfer
-    # equals zero-shot for all arms, which would make the ordering vacuous.
-    matrix_cal, _, _ = calibrated_run
-    matrix_uncal, _ = run_continual(
-        full_stream, full_encoder, TrainConfig(), calibrate=False
-    )
-    matrix_ablate, _ = run_continual(
-        full_stream, full_encoder, TrainConfig(), calibrate=False, mode="iki-ablation:1.0"
-    )
-    _, t_cal = metric_transfer(matrix_cal)
-    _, t_uncal = metric_transfer(matrix_uncal)
-    _, t_ablate = metric_transfer(matrix_ablate)
-    _, l_cal = metric_last(matrix_cal)
-    _, l_uncal = metric_last(matrix_uncal)
-    _, l_ablate = metric_last(matrix_ablate)
-    lasts = [l_cal, l_uncal, l_ablate]
+def test_criterion_6_ablation_ordering(claims):
+    arms = [claims.arms[name] for name in ("calibrated", "gate open", "random init, gate open")]
+    t_cal, t_uncal, t_ablate = (arm.transfer for arm in arms)
+    lasts = [arm.last for arm in arms]
     spread = max(lasts) - min(lasts)
     ok = t_cal > t_uncal > t_ablate and spread <= 0.02
     report(
@@ -140,16 +88,8 @@ def test_criterion_6_ablation_ordering(calibrated_run, full_stream, full_encoder
     assert spread <= 0.02
 
 
-def test_criterion_7_manual_weight_dial(full_stream, full_encoder):
-    # Train only the first task, then pin w by hand on trained vs unseen data.
-    matrix, pool = run_continual(full_stream[:1], full_encoder, TrainConfig())
-    entry = pool.entries[0]
-    trained = manual_weight_sweep(full_stream[0], entry, full_encoder, WEIGHTS)
-    unseen = {w: 0.0 for w in WEIGHTS}
-    for task in full_stream[1:]:
-        sweep = manual_weight_sweep(task, entry, full_encoder, WEIGHTS)
-        for w in WEIGHTS:
-            unseen[w] += sweep[w] / (len(full_stream) - 1)
+def test_criterion_7_manual_weight_dial(claims):
+    trained, unseen = claims.trained, claims.unseen
     ok = trained[1.0] >= trained[0.0] and unseen[0.0] >= unseen[1.0]
     report(
         7,
@@ -162,14 +102,15 @@ def test_criterion_7_manual_weight_dial(full_stream, full_encoder):
     assert unseen[0.0] >= unseen[1.0]
 
 
-def test_criterion_8_run_determinism(tmp_path):
+def test_criterion_8_run_determinism(tmp_path, default_run):
+    # Two independent runs: the session's shared one and this one.
+    a = default_run("iki")
     t0 = time.monotonic()
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", "configs/default.cfg", "--out", str(a)]) == 0
+    b = tmp_path / "b"
     assert main(["run", "--config", "configs/default.cfg", "--out", str(b)]) == 0
     same = all(
         (a / name).read_bytes() == (b / name).read_bytes()
         for name in ("grid.csv", "summary.csv")
     )
-    report(8, "run determinism", same, f"two runs in {time.monotonic() - t0:.1f}s")
+    report(8, "run determinism", same, f"second of two runs in {time.monotonic() - t0:.1f}s")
     assert same

@@ -42,7 +42,6 @@ SMALL_RUN_DIGESTS = {
 
 # The same digest of `resadapt run --config configs/default.cfg`, the pinned
 # desk-scale experiment that perfbench's default and prepend workloads run.
-DEFAULT_CFG = SMALL_CFG.parent / "default.cfg"
 DEFAULT_RUN_DIGESTS = {
     "iki": "644b3478cea4510af94966c00f12889e1afff8b234f1d517adae7d15b10bf8c6",
     "prepend": "76464f548969bbfce6909357b2981cabc67b9bf08ea1d2882b607f5368be6b41",
@@ -488,9 +487,8 @@ class TestRun:
         assert hashlib.sha256(data).hexdigest() == SMALL_RUN_DIGESTS[mode]
 
     @pytest.mark.parametrize("mode", sorted(DEFAULT_RUN_DIGESTS))
-    def test_default_config_outputs_pinned(self, tmp_path, mode):
-        out = tmp_path / mode
-        assert main(["run", "--config", str(DEFAULT_CFG), "--mode", mode, "--out", str(out)]) == 0
+    def test_default_config_outputs_pinned(self, default_run, mode):
+        out = default_run(mode)
         data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == DEFAULT_RUN_DIGESTS[mode]
 

@@ -11,6 +11,7 @@ from resadapt.bench.continual import (
     evaluate_task,
     manual_weight_sweep,
     run_continual,
+    train_pool,
     zero_shot_sweep,
 )
 from resadapt.bench.config import load_config
@@ -32,6 +33,17 @@ SMALL_ADAPTER_DIGESTS = {
     "prepend": "6a7a0fec9e3d9fbaa757ee270130a83b7bc4c62689e1a2bb2f9b6bb6e5c4db57",
     "iki-ablation:0.02": "775359d5d0e94403ba5ab3372d3a540104caae61f47a75a9b7c6aa26c78e24d8",
 }
+
+
+def _attachment_arrays(entry, kind):
+    """Every trained array of one entry: image then text, k_r then v_r (or p)."""
+    for att in entry.adapters.image_adapters + entry.adapters.text_adapters:
+        yield from (att.p,) if kind == "prepend" else (att.k_r, att.v_r)
+
+
+def _entry_bytes(entry, kind):
+    arrays = [*_attachment_arrays(entry, kind), entry.gaussian.mu, entry.gaussian.sigma]
+    return [a.tobytes() for a in arrays]
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +109,23 @@ class TestRunContinual:
         _, pool = run_continual(gen_stream(cfg.stream), cfg.encoder.build(), cfg.train, True, mode)
         h = hashlib.sha256()
         for entry in pool.entries:
-            for att in entry.adapters.image_adapters + entry.adapters.text_adapters:
-                for a in (att.p,) if pool.kind == "prepend" else (att.k_r, att.v_r):
-                    h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+            for a in _attachment_arrays(entry, pool.kind):
+                h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
         assert h.hexdigest() == SMALL_ADAPTER_DIGESTS[mode]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode", sorted(SMALL_ADAPTER_DIGESTS))
+    def test_entry_depends_only_on_tasks_up_to_it(self, mode, k):
+        # Task i's entry is a function of tasks 0..i alone, so a pool trained
+        # on a prefix of the stream is a prefix of the full run's pool. The
+        # claims suite's dial reads the calibrated pool's entry 0 on this basis.
+        cfg = load_config(SMALL_CFG)
+        stream, enc = gen_stream(cfg.stream), cfg.encoder.build()
+        _, full = run_continual(stream, enc, cfg.train, True, mode)
+        prefix = train_pool(stream[:k], enc, cfg.train, mode)
+        assert len(prefix) == k
+        for got, want in zip(prefix.entries, full.entries):
+            assert _entry_bytes(got, prefix.kind) == _entry_bytes(want, full.kind)
 
     def test_empty_stream_rejected(self, small_encoder):
         with pytest.raises(ConfigError):
