@@ -9,7 +9,7 @@ metrics, verifiers, and CLI.
 """
 
 from .attention import Adapter, FrozenAttention, PromptBaseline
-from .backbone import ClassTemplate, DualEncoder, EncoderSpec, EncoderStack
+from .backbone import DualEncoder, EncoderSpec, EncoderStack
 from .learner import AdapterSet, PoolEntry, TaskPool, TrainConfig
 from .taskdist import TaskGaussian
 
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adapter",
     "AdapterSet",
-    "ClassTemplate",
     "DualEncoder",
     "EncoderSpec",
     "EncoderStack",

@@ -3,11 +3,11 @@
 Each encoder is a random embedding table plus a stack of frozen attention
 layers applied with a residual skip (x <- x + attn(x)), mean-pooled over
 positions and L2-normalized. Image-like inputs are token sequences; the
-text side encodes 4-token class templates (3 fixed prefix tokens plus one
-class token). Adapters or prompts may be attached to the first layers of a
-stack; with fresh residual adapters the encoder output is bit-identical to
-the frozen one. Every encoder function takes a batch of (B, L) token ids,
-a single sequence being a batch of one.
+text side encodes class templates, which arrive as (K, 4) token rows (3
+fixed prefix tokens plus one class token). Adapters or prompts may be
+attached to the first layers of a stack; with fresh residual adapters the
+encoder output is bit-identical to the frozen one. Every encoder function
+takes a batch of (B, L) token ids, a single sequence being a batch of one.
 """
 
 from __future__ import annotations
@@ -36,24 +36,6 @@ from .attention import (
 )
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import make_rng
-
-TEMPLATE_PREFIX = (0, 1, 2)
-
-
-@dataclass(frozen=True)
-class ClassTemplate:
-    """Text-side description of one class: fixed prefix + class token."""
-
-    prefix: tuple[int, ...]
-    class_token: int
-
-    def __post_init__(self):
-        if len(self.prefix) != 3:
-            raise ShapeError("template prefix must have exactly 3 tokens")
-
-    def token_ids(self) -> np.ndarray:
-        return np.array(self.prefix + (self.class_token,), dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class EncoderStack:
@@ -270,14 +252,11 @@ def encode(
 
 
 def class_embeddings(
-    classes: Sequence[ClassTemplate],
+    classes: np.ndarray,
     stack: EncoderStack,
     adapters: Sequence[Adapter | PromptBaseline] | None = None,
     w=1.0,
 ) -> np.ndarray:
-    """Encode each class template; returns (K, d) in the given class order."""
-    if len(classes) == 0:
-        raise ShapeError("need at least one class template")
-    ids = np.stack([c.token_ids() for c in classes])
-    return encode(ids, stack, adapters, w)
+    """Encode (K, L) class template token rows; returns (K, d) in row order."""
+    return encode(classes, stack, adapters, w)
 

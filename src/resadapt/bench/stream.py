@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..backbone import TEMPLATE_PREFIX, ClassTemplate
 from ..errors import ConfigError
 from ..numkernel import make_rng
 
+TEMPLATE_PREFIX = (0, 1, 2)
 TRAIN_FRACTION = 0.8
 
 
@@ -71,7 +71,15 @@ class Task:
     train_labels: np.ndarray
     test_ids: np.ndarray
     test_labels: np.ndarray
-    class_templates: tuple[ClassTemplate, ...]
+    class_templates: np.ndarray  # (K, 4) int64: TEMPLATE_PREFIX, then the class token
+
+
+def _template_rows(class_tokens) -> np.ndarray:
+    """(K, 4) template token rows: the shared prefix, then each class token."""
+    rows = np.empty((len(class_tokens), len(TEMPLATE_PREFIX) + 1), dtype=np.int64)
+    rows[:, :-1] = TEMPLATE_PREFIX
+    rows[:, -1] = class_tokens
+    return rows
 
 
 def _windows(spec: StreamSpec) -> tuple[int, list[int], int]:
@@ -119,19 +127,16 @@ def gen_stream(spec: StreamSpec) -> list[Task]:
         rng = make_rng(spec.seed, 11, t)
         win_lo = base + starts[t]
         salt = np.arange(win_lo, win_lo + n_salt, dtype=np.int64)
-        templates = tuple(
-            ClassTemplate(
-                prefix=TEMPLATE_PREFIX,
-                class_token=len(TEMPLATE_PREFIX) + t * spec.classes_per_task + c,
-            )
-            for c in range(spec.classes_per_task)
+        templates = _template_rows(
+            len(TEMPLATE_PREFIX) + t * spec.classes_per_task + np.arange(spec.classes_per_task)
         )
         ids_rows, labels = [], []
         for c in range(spec.classes_per_task):
             slice_lo = win_lo + n_salt + c * slice_width
+            anchor = np.full(n_anchor, templates[c, -1], dtype=np.int64)
             for _ in range(spec.samples_per_class):
                 parts = [
-                    np.full(n_anchor, templates[c].class_token, dtype=np.int64),
+                    anchor,
                     salt,
                     rng.integers(slice_lo, slice_lo + slice_width, size=n_class),
                 ]
@@ -185,8 +190,8 @@ def save_stream(spec: StreamSpec, stream: list[Task], path: str | Path) -> None:
                 "test_ids": t.test_ids.tolist(),
                 "test_labels": t.test_labels.tolist(),
                 "class_templates": [
-                    {"prefix": list(c.prefix), "class_token": int(c.class_token)}
-                    for c in t.class_templates
+                    {"prefix": row[:-1].tolist(), "class_token": int(row[-1])}
+                    for row in t.class_templates
                 ],
             }
             for t in stream
@@ -236,17 +241,17 @@ def _decode_split(t: dict, split: str, spec: StreamSpec, k: int, where: str):
 
 
 def _decode_task(t: dict, spec: StreamSpec, where: str) -> Task:
-    templates = []
+    tokens = []
     for c in t["class_templates"]:
         prefix = tuple(_int_array(c["prefix"], f"{where} template prefix", 1, spec.vocab).tolist())
         if prefix != TEMPLATE_PREFIX:
             raise ConfigError(f"{where} template prefix must be {TEMPLATE_PREFIX}, got {prefix}")
-        token = int(_int_array(c["class_token"], f"{where} class token", 0, spec.vocab))
-        templates.append(ClassTemplate(prefix=prefix, class_token=token))
-    if len(templates) != spec.classes_per_task:
+        tokens.append(int(_int_array(c["class_token"], f"{where} class token", 0, spec.vocab)))
+    if len(tokens) != spec.classes_per_task:
         raise ConfigError(
-            f"{where} has {len(templates)} class templates, spec has {spec.classes_per_task} classes"
+            f"{where} has {len(tokens)} class templates, spec has {spec.classes_per_task} classes"
         )
+    templates = _template_rows(tokens)
     train_ids, train_labels = _decode_split(t, "train", spec, len(templates), where)
     test_ids, test_labels = _decode_split(t, "test", spec, len(templates), where)
     return Task(
@@ -255,7 +260,7 @@ def _decode_task(t: dict, spec: StreamSpec, where: str) -> Task:
         train_labels=train_labels,
         test_ids=test_ids,
         test_labels=test_labels,
-        class_templates=tuple(templates),
+        class_templates=templates,
     )
 
 

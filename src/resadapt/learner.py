@@ -19,7 +19,6 @@ import numpy as np
 
 from .attention import Adapter, PromptBaseline, init_adapter, init_adapter_ablation
 from .backbone import (
-    ClassTemplate,
     DualEncoder,
     class_embeddings,
     encode,
@@ -186,7 +185,7 @@ def batch_cross_entropy(logit_rows: np.ndarray, labels: np.ndarray) -> tuple[flo
 def train_task(
     train_ids: np.ndarray,
     train_labels: np.ndarray,
-    class_templates: Sequence[ClassTemplate],
+    class_templates: np.ndarray,
     enc: DualEncoder,
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -194,10 +193,11 @@ def train_task(
 ) -> AdapterSet:
     """Train one task's attachments on both encoders; returns them frozen.
 
-    Both encoders stay fixed; only the attachments move. Images and class
-    templates are encoded with the residual weight pinned at 1 (calibration
-    is an inference-time mechanism). Zero epochs returns the untouched
-    fresh initialization.
+    class_templates holds one token row per class, (K, L). Both encoders
+    stay fixed; only the attachments move. Images and class templates are
+    encoded with the residual weight pinned at 1 (calibration is an
+    inference-time mechanism). Zero epochs returns the untouched fresh
+    initialization.
 
     Layer 0 reads only frozen embeddings, and neither branch changes its
     frozen forward: a residual adapter adds to its output, a prompt attends
@@ -219,12 +219,11 @@ def train_task(
         )
     img_att = _init_attachments(mode, cfg, enc.image.d, rng)
     txt_att = _init_attachments(mode, cfg, enc.text.d, rng)
-    template_ids = np.stack([c.token_ids() for c in class_templates])
     steps_per_epoch = max(1, math.ceil(n / cfg.batch))
     total_steps = cfg.epochs * steps_per_epoch
     if cfg.epochs > 0:
         img0 = layer0_cache(train_ids, enc.image)
-        txt0 = layer0_cache(template_ids, enc.text)
+        txt0 = layer0_cache(class_templates, enc.text)
     step = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -234,7 +233,7 @@ def train_task(
             img_feats, img_cache = encode_with_cache(
                 train_ids[idx], enc.image, img_att, 1.0, img0.take(idx)
             )
-            txt_feats, txt_cache = encode_with_cache(template_ids, enc.text, txt_att, 1.0, txt0)
+            txt_feats, txt_cache = encode_with_cache(class_templates, enc.text, txt_att, 1.0, txt0)
             logit_block = cfg.logit_scale * (img_feats @ txt_feats.T)
             loss, d_logits = batch_cross_entropy(logit_block, train_labels[idx])
             if not math.isfinite(loss):
@@ -278,15 +277,15 @@ def predict(
     ids: np.ndarray,
     adapters: AdapterSet | None,
     weights: np.ndarray,
-    candidate_classes: Sequence[ClassTemplate],
+    candidate_classes: np.ndarray,
     enc: DualEncoder,
 ) -> np.ndarray:
     """Class index of each (B, L) row through one attachment set, row b at weights[b].
 
     With adapters None this is the frozen model. Both encoders run each row
-    at its own weight, which prompts ignore: one text encode covers the K
-    templates tiled once per distinct weight (U*K rows), and each row
-    gathers the K embeddings at its weight. Every encode and product is
+    at its own weight, which prompts ignore: one text encode covers the
+    (K, L) template rows tiled once per distinct weight (U*K rows), and each
+    row gathers the K embeddings at its weight. Every encode and product is
     row-independent, so a row's decision does not depend on which other
     rows share its batch. The cosine product is an einsum, not a 2-D
     matmul: BLAS sums a one-row product (gemv) and a larger one (gemm) in
@@ -299,7 +298,7 @@ def predict(
     k = len(candidate_classes)
     w_unique, inverse = np.unique(weights, return_inverse=True)
     text_feats = class_embeddings(
-        list(candidate_classes) * len(w_unique), enc.text, text, np.repeat(w_unique, k)
+        np.tile(candidate_classes, (len(w_unique), 1)), enc.text, text, np.repeat(w_unique, k)
     ).reshape(len(w_unique), k, -1)
     return np.argmax(np.einsum("bd,bkd->bk", feats, text_feats[inverse]), axis=1)
 
@@ -309,7 +308,7 @@ def classify(
     task_idx: np.ndarray,
     weights: np.ndarray,
     pool: TaskPool,
-    candidate_classes: Sequence[ClassTemplate],
+    candidate_classes: np.ndarray,
     enc: DualEncoder,
 ) -> np.ndarray:
     """Class index of each (B, L) row through its routed entry at its weight.
@@ -328,7 +327,7 @@ def classify(
 def infer_batch(
     token_ids: np.ndarray,
     pool: TaskPool,
-    candidate_classes: Sequence[ClassTemplate],
+    candidate_classes: np.ndarray,
     enc: DualEncoder,
     calibrate: bool = True,
     logit_scale: float = 100.0,
@@ -361,8 +360,9 @@ class InferState:
     weights and decisions; each call scores only new entries and
     re-classifies only the rows whose route changed. Decisions equal those
     of a fresh state on the same pool, bit for bit. The first call binds the
-    state to its inputs; later calls must pass the same ones and a pool that
-    extends the last.
+    state to its inputs by identity; later calls must pass the same token-id
+    and template arrays, encoder and calibrate flag, and a pool that extends
+    the last.
     """
 
     inputs: tuple = ()  # (token_ids, enc, classes, calibrate) of the first call
@@ -378,7 +378,7 @@ class InferState:
         self,
         token_ids: np.ndarray,
         pool: TaskPool,
-        candidate_classes: Sequence[ClassTemplate],
+        candidate_classes: np.ndarray,
         enc: DualEncoder,
         calibrate: bool = True,
     ) -> np.ndarray:
@@ -386,7 +386,8 @@ class InferState:
         n = len(self.scored)
         if len(pool) < n or any(a is not b for a, b in zip(pool.entries, self.scored)):
             raise ContractError("pool does not extend the pool this state has scored")
-        inputs = (token_ids, enc, tuple(candidate_classes), bool(calibrate))
+        # Compared by identity; bool() gives one of the two bool singletons.
+        inputs = (token_ids, enc, candidate_classes, bool(calibrate))
         if self.ids is None:
             ids = np.asarray(token_ids, dtype=np.int64)
             self.frozen_feats = encode(ids, enc.image)
@@ -394,9 +395,7 @@ class InferState:
             self.scores = np.empty((ids.shape[0], 0))
             self.task_idx = np.full(ids.shape[0], -1)
             self.class_idx = np.zeros(ids.shape[0], dtype=np.int64)
-        elif not (
-            token_ids is self.inputs[0] and enc is self.inputs[1] and inputs[2:] == self.inputs[2:]
-        ):
+        elif any(a is not b for a, b in zip(inputs, self.inputs)):
             raise ContractError("state is bound to other token ids, encoder or settings")
         new = pool.entries[n:]
         columns = score_entries(self.frozen_feats, new)

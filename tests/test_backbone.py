@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from resadapt.attention import Adapter, PromptBaseline, init_adapter
 from resadapt.backbone import (
-    TEMPLATE_PREFIX,
-    ClassTemplate,
     EncoderSpec,
     class_embeddings,
     encode,
@@ -16,6 +14,7 @@ from resadapt.backbone import (
     encode_backward,
     layer0_cache,
 )
+from resadapt.bench.stream import TEMPLATE_PREFIX
 from resadapt.errors import ContractError, ShapeError
 from resadapt.numkernel import finite_diff_grad, make_rng
 
@@ -100,16 +99,16 @@ def test_per_sample_weights_match_loop(small_encoder):
 
 
 def test_class_embeddings_rows_and_permutation(small_encoder):
-    classes = [ClassTemplate(TEMPLATE_PREFIX, 10 + c) for c in range(3)]
+    classes = np.array([TEMPLATE_PREFIX + (10 + c,) for c in range(3)])
     rows = class_embeddings(classes, small_encoder.text)
     assert rows.shape == (3, 8)
     assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
-    permuted = class_embeddings([classes[2], classes[0], classes[1]], small_encoder.text)
+    permuted = class_embeddings(classes[[2, 0, 1]], small_encoder.text)
     assert np.array_equal(permuted, rows[[2, 0, 1]])
 
 
 def test_class_embeddings_single_class(small_encoder):
-    rows = class_embeddings([ClassTemplate(TEMPLATE_PREFIX, 9)], small_encoder.text)
+    rows = class_embeddings(np.array([TEMPLATE_PREFIX + (9,)]), small_encoder.text)
     assert rows.shape == (1, 8)
 
 

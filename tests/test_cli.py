@@ -47,6 +47,13 @@ DEFAULT_RUN_DIGESTS = {
     "prepend": "76464f548969bbfce6909357b2981cabc67b9bf08ea1d2882b607f5368be6b41",
 }
 
+# sha256 of the stream.json that `resadapt run` writes (the same for every
+# mode): pins the version-1 stream layout, byte for byte, across commits.
+STREAM_FILE_DIGESTS = {
+    "small": "46bcedbba324e839dc99557b204ce04b83c9e253840e8d6b47cf27b2b3a3b230",
+    "default": "be9b47423e1644fb98919825f5dbc13b95d25861cbbc2124a38940814cfdb273",
+}
+
 # One full batch per epoch at a learning rate that trains huge but finite
 # adapters in one step.
 HUGE_LR_CFG = """\
@@ -491,6 +498,16 @@ class TestRun:
         out = default_run(mode)
         data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == DEFAULT_RUN_DIGESTS[mode]
+
+    def test_small_config_stream_file_pinned(self, tmp_path):
+        out = tmp_path / "small"
+        assert main(["run", "--config", str(SMALL_CFG), "--out", str(out)]) == 0
+        data = (out / "stream.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == STREAM_FILE_DIGESTS["small"]
+
+    def test_default_config_stream_file_pinned(self, default_run):
+        data = (default_run("iki") / "stream.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == STREAM_FILE_DIGESTS["default"]
 
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_oversized_encoder_exits_2(self, tmp_path, capsys, stream_dir, command):

@@ -230,6 +230,25 @@ class TestCachedEvaluation:
         with pytest.raises(ContractError):
             evaluate_task(four_stream[0], _prefix(pool, 2), small_encoder, False, 100.0, state)
 
+    def test_state_binds_template_array_by_identity(self, four_run, four_stream, small_encoder):
+        # Same token ids, same pool prefix: a copy of the bound template
+        # array is refused as other token ids are, and so are another task's
+        # templates. The bound inputs still pass afterwards.
+        _, pool = four_run
+        task = four_stream[0]
+        ids, classes = task.test_ids, task.class_templates
+        state = InferState()
+        state.infer(ids, _prefix(pool, 1), classes, small_encoder)
+        for other_ids, other_classes in (
+            (ids.copy(), classes),
+            (ids, classes.copy()),
+            (ids, four_stream[1].class_templates),
+        ):
+            with pytest.raises(ContractError):
+                state.infer(other_ids, _prefix(pool, 1), other_classes, small_encoder)
+        got = state.infer(ids, _prefix(pool, 2), classes, small_encoder)
+        assert np.array_equal(got, infer_batch(ids, _prefix(pool, 2), classes, small_encoder)[0])
+
 
 class TestZeroShotSweep:
     def test_matches_manual_count(self, small_stream, small_encoder):

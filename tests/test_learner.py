@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from resadapt.backbone import (
-    TEMPLATE_PREFIX,
-    ClassTemplate,
     DualEncoder,
     EncoderSpec,
     class_embeddings,
@@ -345,7 +343,7 @@ class TestTrainTask:
         rng = make_rng(4, 7, 0)
         img = learner._init_attachments(mode, cfg, small_encoder.image.d, rng)
         txt = learner._init_attachments(mode, cfg, small_encoder.text.d, rng)
-        template_ids = np.stack([c.token_ids() for c in task.class_templates])
+        template_ids = task.class_templates
         n = len(task.train_labels)
         total = cfg.epochs * math.ceil(n / cfg.batch)
         step = 0
@@ -484,7 +482,7 @@ class TestInferBatch:
             )
             gaussian = estimate_task_stats(task.train_ids, small_encoder)
             pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
-        candidates = small_stream[0].class_templates + small_stream[1].class_templates
+        candidates = np.concatenate([task.class_templates for task in small_stream[:2]])
         ids = np.vstack([small_stream[0].test_ids[:6], small_stream[1].test_ids[:6]])
         cls, tsk, wts = infer_batch(ids, pool, candidates, small_encoder)
         oracle = _infer_rows(ids, pool, candidates, small_encoder)
@@ -516,7 +514,7 @@ class TestRouteAndClassify:
         # classify encodes the templates at each distinct w; the features
         # must equal, bit for bit, the per-(sample, class) tiled encoding.
         task, entry = trained
-        template_ids = np.stack([c.token_ids() for c in task.class_templates])
+        template_ids = task.class_templates
         adapters = entry.adapters.text_adapters
         # Repeated weights spanning [0, 1], so decisions depend on which
         # weight each sample's templates were encoded at.

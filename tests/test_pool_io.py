@@ -93,7 +93,7 @@ class TestRoundTrip:
         path = tmp_path / "pool.json"
         save_pool(pool, path, ENC_SPEC)
         loaded, _ = load_pool(path)
-        candidates = stream[0].class_templates + stream[1].class_templates
+        candidates = np.concatenate([stream[0].class_templates, stream[1].class_templates])
         ids = np.vstack([task.test_ids for task in stream])
         for a, b in zip(
             infer_batch(ids, pool, candidates, small_encoder),

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from resadapt.backbone import TEMPLATE_PREFIX, encode
+from resadapt.backbone import encode
 from resadapt.bench.stream import (
+    TEMPLATE_PREFIX,
     StreamSpec,
     _sample_counts,
     _windows,
@@ -94,15 +95,23 @@ class TestGeneration:
         stream = gen_stream(SMALL)
         seen = set()
         for task in stream:
-            tokens = {c.class_token for c in task.class_templates}
+            tokens = set(task.class_templates[:, -1].tolist())
             assert not (tokens & seen)
             seen |= tokens
         assert min(seen) == len(TEMPLATE_PREFIX)
 
+    def test_class_templates_are_int64_token_rows(self):
+        # One (K, 4) row per class: the shared prefix, then its class token.
+        for task in gen_stream(SMALL):
+            rows = task.class_templates
+            assert rows.dtype == np.int64
+            assert rows.shape == (SMALL.classes_per_task, len(TEMPLATE_PREFIX) + 1)
+            assert np.all(rows[:, :-1] == TEMPLATE_PREFIX)
+
     def test_every_sample_carries_its_class_token(self):
         for task in gen_stream(SMALL):
             for ids, lab in zip(task.train_ids, task.train_labels):
-                assert task.class_templates[lab].class_token in ids
+                assert task.class_templates[lab, -1] in ids
 
     def test_salt_block_identical_within_task(self):
         # The fixed salt ids appear in full in every sample of the task.
@@ -118,7 +127,7 @@ class TestGeneration:
         for task in gen_stream(SMALL):
             lo = base + starts[task.index]
             own = set(range(lo, lo + width))
-            own |= {c.class_token for c in task.class_templates}
+            own |= set(task.class_templates[:, -1].tolist())
             all_ids = np.vstack([task.train_ids, task.test_ids])
             assert all_ids.min() >= 0 and all_ids.max() < SMALL.vocab
             assert set(all_ids.ravel().tolist()) <= own
@@ -174,7 +183,7 @@ class TestPersistence:
             assert a.train_labels.tobytes() == b.train_labels.tobytes()
             assert a.test_ids.tobytes() == b.test_ids.tobytes()
             assert a.test_labels.tobytes() == b.test_labels.tobytes()
-            assert a.class_templates == b.class_templates
+            assert a.class_templates.tobytes() == b.class_templates.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         stream = gen_stream(SMALL)
