@@ -15,9 +15,12 @@ perfbench's tracer cannot see checkpoint evaluation below evaluate_task:
 it runs InferState.infer, which calls route and classify, which calls
 predict once per routed group, and none of the four is a traced target.
 So this script also runs run_continual on each workload in process, with
-those four and class_embeddings (predict's text encode) wrapped from
-outside by perfbench's own Tracer (originals restored on exit), and
+those four, class_embeddings (predict's text encode) and encode wrapped
+from outside by perfbench's own Tracer (originals restored on exit), and
 records their calls and seconds per pass under the key "eval_calls".
+With encode wrapped, class_embeddings' self_s is its own work without the
+frozen text encode. encode's span counts every frozen encode of the run,
+estimate_task_stats' included, not only those under evaluation.
 
 --root names the checkout to measure (default: the one holding this
 script), so a parent commit can be measured with the same writer. The file
@@ -77,14 +80,14 @@ def _eval_calls(root: Path, workload: str) -> dict:
     wl = run.load_workload(workload, SEED)
     stream, enc = run.stream_mod.gen_stream(wl.stream), wl.encoder.build()
     continual.run_continual(stream[:2], enc, wl.train, run.CALIBRATE, wl.mode)  # warm-up
-    # route, classify, predict and class_embeddings are module functions,
+    # route, classify, predict, class_embeddings and encode are module functions,
     # which Tracer.installed() replaces in every resadapt namespace;
     # InferState.infer is a method, so it is set on the class by hand.
     Target = tracer_mod.Target
     infer = Target("resadapt.learner", "infer", "learner.InferState")
     tracer = tracer_mod.Tracer(
         [Target("resadapt.learner", f, "learner") for f in ("route", "classify", "predict")]
-        + [Target("resadapt.backbone", "class_embeddings", "backbone")]
+        + [Target("resadapt.backbone", f, "backbone") for f in ("class_embeddings", "encode")]
     )
     spans = [infer.span] + [t.span for t in tracer.targets]
     passes = []

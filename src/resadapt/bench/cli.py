@@ -19,7 +19,7 @@ from ..pool_io import load_pool, save_pool
 from .config import load_config
 from .continual import evaluate_task, run_continual, train_pool
 from .reporting import write_csv, write_eval_csv
-from .stream import StreamSpec, gen_stream, load_stream, save_stream
+from .stream import SPEC_TYPES, StreamSpec, gen_stream, load_stream, save_stream
 from .verify import SUITES, run_suite
 
 
@@ -31,13 +31,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-tasks", help="generate a synthetic task stream")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tasks", type=int, required=True)
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seq-len", type=int, default=8)
-    p.add_argument("--vocab", type=int, default=256)
-    p.add_argument("--domain-shift", type=float, default=1.0)
+    # Each flag's dest is the StreamSpec field it sets, read by the field's
+    # type; an omitted optional flag leaves its field at the default.
+    for flag, field, required in (
+        ("--seed", "seed", True), ("--tasks", "num_tasks", True),
+        ("--classes", "classes_per_task", True), ("--samples", "samples_per_class", True),
+        ("--seq-len", "seq_len", False), ("--vocab", "vocab", False),
+        ("--domain-shift", "domain_shift", False),
+    ):
+        p.add_argument(flag, dest=field, type=SPEC_TYPES[field], required=required,
+                       default=argparse.SUPPRESS, metavar=flag[2:].upper().replace("-", "_"))
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("train", help="train through a stored stream, write the pool")
@@ -74,15 +77,7 @@ def _load_stream_dir(tasks_dir: Path):
 
 
 def _cmd_gen_tasks(args) -> int:
-    spec = StreamSpec(
-        num_tasks=args.tasks,
-        classes_per_task=args.classes,
-        samples_per_class=args.samples,
-        seq_len=args.seq_len,
-        vocab=args.vocab,
-        domain_shift=args.domain_shift,
-        seed=args.seed,
-    )
+    spec = StreamSpec(**{k: v for k, v in vars(args).items() if k in SPEC_TYPES})
     stream = gen_stream(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     save_stream(spec, stream, args.out / "stream.json")

@@ -1,36 +1,23 @@
 """Flat `key = value` config files.
 
 One assignment per line; blank lines and lines starting with # are ignored.
+Each key is a field of one of RunConfig's sections (TrainConfig, StreamSpec,
+BackboneConfig) and is spelled as the field, except StreamSpec.seed, which
+is `stream_seed`. A value is read by its field's declared type, int or float.
 Every key must be known (typo protection beats permissiveness here) and
-every missing key falls back to its dataclass default. Keys:
-
-  training   lr0, epochs, batch, logit_scale, prompt_len, adapter_depth,
-             k_bound, ridge, seed
-  stream     num_tasks, classes_per_task, samples_per_class, seq_len,
-             vocab, domain_shift, stream_seed
-  backbone   embed_dim, depth, backbone_seed
+every missing key falls back to its dataclass default.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..backbone import EncoderSpec
 from ..errors import ConfigError
 from ..learner import TrainConfig
-from .stream import StreamSpec
-
-_INT = ("epochs", "batch", "prompt_len", "adapter_depth", "seed", "num_tasks",
-        "classes_per_task", "samples_per_class", "seq_len", "vocab", "stream_seed",
-        "embed_dim", "depth", "backbone_seed")
-_FLOAT = ("lr0", "logit_scale", "k_bound", "ridge", "domain_shift")
-
-_TRAIN_KEYS = ("lr0", "epochs", "batch", "logit_scale", "prompt_len",
-               "adapter_depth", "k_bound", "ridge", "seed")
-_STREAM_KEYS = ("num_tasks", "classes_per_task", "samples_per_class", "seq_len",
-                "vocab", "domain_shift", "stream_seed")
-_BACKBONE_KEYS = ("embed_dim", "depth", "backbone_seed")
+from .stream import FIELD_KINDS, StreamSpec, field_types
 
 
 @dataclass(frozen=True)
@@ -61,6 +48,15 @@ class RunConfig:
         )
 
 
+# RunConfig's sections by name, and each config key's (section, field, type).
+_SECTIONS = typing.get_type_hints(RunConfig)
+_KEYS = {
+    ("stream_seed" if (section, name) == ("stream", "seed") else name): (section, name, kind)
+    for section, cls in _SECTIONS.items()
+    for name, kind in field_types(cls).items()
+}
+
+
 def parse_config_text(text: str) -> dict[str, float | int]:
     values: dict[str, float | int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,18 +69,13 @@ def parse_config_text(text: str) -> dict[str, float | int]:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT:
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {val!r}") from exc
-        elif key in _FLOAT:
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key} needs a number, got {val!r}") from exc
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        kind = _KEYS[key][2]
+        try:
+            values[key] = kind(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key} needs {FIELD_KINDS[kind]}, got {val!r}") from exc
     return values
 
 
@@ -94,15 +85,11 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = parse_config_text(text)
-    train_kw = {k: values[k] for k in _TRAIN_KEYS if k in values}
-    stream_kw = {("seed" if k == "stream_seed" else k): values[k]
-                 for k in _STREAM_KEYS if k in values}
-    backbone_kw = {k: values[k] for k in _BACKBONE_KEYS if k in values}
-    cfg = RunConfig(
-        train=TrainConfig(**train_kw),
-        stream=StreamSpec(**stream_kw),
-        backbone=BackboneConfig(**backbone_kw),
-    )
+    kwargs = {section: {} for section in _SECTIONS}
+    for key, value in values.items():
+        section, name, _ = _KEYS[key]
+        kwargs[section][name] = value
+    cfg = RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
     if cfg.train.adapter_depth > cfg.backbone.depth:
         raise ConfigError(
             f"adapter_depth {cfg.train.adapter_depth} exceeds backbone depth {cfg.backbone.depth}"

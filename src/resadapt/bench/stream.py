@@ -22,7 +22,8 @@ slices make sub-clusters per class. Same spec -> byte-identical stream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,19 @@ from ..numkernel import make_rng
 
 TEMPLATE_PREFIX = (0, 1, 2)
 TRAIN_FRACTION = 0.8
+# What a value must be, by the declared type of its field; no other type may be declared.
+FIELD_KINDS = {int: "an integer", float: "a number"}
+
+
+def field_types(cls) -> dict[str, type]:
+    """Each field of the dataclass cls by name, with its declared type; TypeError if
+    a type is not in FIELD_KINDS, so a schema built at import fails there."""
+    hints = typing.get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in fields(cls)}
+    for name, kind in types.items():
+        if kind not in FIELD_KINDS:
+            raise TypeError(f"{cls.__name__}.{name} has type {kind!r}, not int or float")
+    return types
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,9 @@ class StreamSpec:
                 f"vocab {self.vocab} too small for {self.num_tasks} tasks of "
                 f"{self.classes_per_task} classes"
             )
+
+
+SPEC_TYPES = field_types(StreamSpec)
 
 
 @dataclass(frozen=True)
@@ -173,15 +190,7 @@ def save_stream(spec: StreamSpec, stream: list[Task], path: str | Path) -> None:
     doc = {
         "format": "resadapt-stream",
         "version": 1,
-        "spec": {
-            "num_tasks": spec.num_tasks,
-            "classes_per_task": spec.classes_per_task,
-            "samples_per_class": spec.samples_per_class,
-            "seq_len": spec.seq_len,
-            "vocab": spec.vocab,
-            "domain_shift": spec.domain_shift,
-            "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "tasks": [
             {
                 "index": t.index,
@@ -269,10 +278,14 @@ def _decode_stream(doc: dict) -> tuple[StreamSpec, list[Task]]:
 
     Token ids are integers in [0, vocab) in rows of length seq_len, each
     row has one label within its task's classes, each task has one template
-    per class with the shared prefix, and the tasks are indexed
-    0..num_tasks-1 in order.
+    per class with the shared prefix, the tasks are indexed 0..num_tasks-1
+    in order, and each spec value has its field's type (a bool is no integer).
     """
-    spec = StreamSpec(**doc["spec"])
+    raw = doc["spec"]
+    for key, kind in SPEC_TYPES.items():
+        if key in raw and not (type(raw[key]) is int or (kind is float and type(raw[key]) is float)):
+            raise ConfigError(f"stream spec {key} needs {FIELD_KINDS[kind]}, got {raw[key]!r}")
+    spec = StreamSpec(**raw)
     tasks = [_decode_task(t, spec, f"task {i}") for i, t in enumerate(doc["tasks"])]
     indices = [t.index for t in tasks]
     if indices != list(range(spec.num_tasks)):

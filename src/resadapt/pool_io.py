@@ -15,9 +15,10 @@ vec = {"len": n, "data": [hex...]}, and att is {"k_r": mtx, "v_r": mtx}
 in a residual pool or {"p": mtx} in a prepend pool.
 
 A Gaussian's Cholesky factor and log-determinant are not stored: the loader
-recomputes both from sigma. Every stored value must be finite and the ridge
-positive. Every attachment and Gaussian has the encoder's width, and an
-entry holds as many image as text attachments, at most one per layer.
+recomputes both from sigma. The encoder record holds JSON integers (no
+bools), every stored value must be finite and the ridge positive. Every
+attachment and Gaussian has the encoder's width, and an entry holds as many
+image as text attachments, at most one per layer.
 Version 1 files are rejected.
 """
 
@@ -169,11 +170,11 @@ def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
     enc_doc = doc.get("encoder")
     if not isinstance(enc_doc, dict):
         raise ConfigError("pool file is missing its encoder record")
+    for key in ("vocab", "embed_dim", "depth", "seed"):
+        if type(enc_doc[key]) is not int:  # a bool, a float or a string is no integer
+            raise ConfigError(f"pool encoder {key} needs an integer, got {enc_doc[key]!r}")
     encoder = EncoderSpec(
-        vocab=int(enc_doc["vocab"]),
-        d=int(enc_doc["embed_dim"]),
-        depth=int(enc_doc["depth"]),
-        seed=int(enc_doc["seed"]),
+        vocab=enc_doc["vocab"], d=enc_doc["embed_dim"], depth=enc_doc["depth"], seed=enc_doc["seed"]
     )
     entries = [_decode_entry(e, kind, encoder) for e in doc["entries"]]
     return TaskPool(entries=entries, kind=kind), encoder

@@ -48,7 +48,8 @@ DEFAULT_RUN_DIGESTS = {
 }
 
 # sha256 of the stream.json that `resadapt run` writes (the same for every
-# mode): pins the version-1 stream layout, byte for byte, across commits.
+# mode), and that `gen-tasks` writes for the same spec: pins the version-1
+# stream layout, byte for byte, across commits.
 STREAM_FILE_DIGESTS = {
     "small": "46bcedbba324e839dc99557b204ce04b83c9e253840e8d6b47cf27b2b3a3b230",
     "default": "be9b47423e1644fb98919825f5dbc13b95d25861cbbc2124a38940814cfdb273",
@@ -111,6 +112,17 @@ class TestGenTasks:
         assert main(GEN_ARGS + ["--out", str(a)]) == 0
         assert main(GEN_ARGS + ["--out", str(b)]) == 0
         assert (a / "stream.json").read_bytes() == (b / "stream.json").read_bytes()
+
+    @pytest.mark.parametrize("name,flags", [
+        # The optional flags omitted: each keeps StreamSpec's default.
+        ("small", ["--seed", "0", "--tasks", "3", "--classes", "2", "--samples", "40"]),
+        ("default", ["--seed", "0", "--tasks", "5", "--classes", "4", "--samples", "200",
+                     "--seq-len", "8", "--vocab", "256", "--domain-shift", "1.0"]),
+    ])
+    def test_stream_file_pinned(self, tmp_path, name, flags):
+        assert main(["gen-tasks", *flags, "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "stream.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == STREAM_FILE_DIGESTS[name]
 
     def test_non_finite_domain_shift_exits_2(self, tmp_path, capsys):
         code = main(GEN_ARGS + ["--domain-shift", "nan", "--out", str(tmp_path / "x")])
@@ -311,8 +323,9 @@ def _set_first_id(value):
     return mutate
 
 
-# Each mutation of a stored stream that loading used to accept: the
-# stream's data no longer matches its spec.
+# Each mutation of a stored stream that loading used to accept (or, for
+# string-domain-shift, rejected without naming the field): the stream's data
+# no longer matches its spec, or a spec value is not of its field's type.
 STREAM_MUTATIONS = {
     "label-outside-classes": (_set_first("test_labels", 7), "test_labels must lie in [0, 2)"),
     "float-token-id": (_set_first_id(1.5), "train_ids must be a list of integer rows"),
@@ -329,6 +342,13 @@ STREAM_MUTATIONS = {
     "foreign-template-prefix": (
         lambda d: d["tasks"][1]["class_templates"][0].update(prefix=[0, 1, 3]),
         "template prefix must be (0, 1, 2)",
+    ),
+    "float-vocab": (
+        lambda d: d["spec"].update(vocab=64.0), "stream spec vocab needs an integer, got 64.0"
+    ),
+    "bool-seed": (lambda d: d["spec"].update(seed=True), "stream spec seed needs an integer, got True"),
+    "string-domain-shift": (
+        lambda d: d["spec"].update(domain_shift="1"), "stream spec domain_shift needs a number, got '1'"
     ),
 }
 
@@ -355,13 +375,16 @@ class TestStreamBoundary:
         assert len(err) == 1 and message in err[0], err
 
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(data=st.data())
-    def test_any_one_value_mutation_exits_0_or_2(self, tmp_path, stream_dir, pool_file, capsys, data):
-        # One JSON value anywhere in the stream replaced by another: eval
-        # either accepts the file or exits 2 with one stderr line.
+    def test_any_one_value_mutation_exits_0_or_2(
+        self, tmp_path, cfg_file, stream_dir, pool_file, capsys, command, data
+    ):
+        # One JSON value anywhere in the stream replaced by another: train
+        # and eval either accept the file or exit 2 with one stderr line.
         doc = json.loads((stream_dir / "stream.json").read_text())
         path = data.draw(st.sampled_from(list(_json_paths(doc))))
         value = data.draw(st.sampled_from(FUZZ_VALUES))
@@ -370,12 +393,19 @@ class TestStreamBoundary:
         bad.mkdir(exist_ok=True)
         (bad / "stream.json").write_text(json.dumps(doc))
         capsys.readouterr()
-        code = main(["eval", "--pool", str(pool_file), "--tasks", str(bad), "--out", str(tmp_path / "e")])
+        if command == "train":
+            args = ["train", "--config", str(cfg_file), "--out", str(tmp_path / "p.json")]
+        else:
+            args = ["eval", "--pool", str(pool_file), "--out", str(tmp_path / "e")]
+        code = main(args + ["--tasks", str(bad)])
         err = capsys.readouterr().err.strip().splitlines()
         assert code in (0, 2) and len(err) <= (code == 2), (path, value, code, err)
 
 
-FUZZ_VALUES = [0, 1, -1, 7, 64, 2**70, 1.5, -0.0, 1e308, "x", None, True, [], [1], [[1]], {}]
+FUZZ_VALUES = [
+    0, 1, -1, 7, 64, 2**70, 1.5, -0.0, 1e308, "x", None, True, [], [1], [[1]], {}, 64.0, 8.0,
+    2.0, 0.0,
+]
 
 
 def _json_paths(doc, path=()):
@@ -426,6 +456,12 @@ POOL_MUTATIONS = {
                                 "ridge": "0x1.0p-20"}),
         "widths [1, 8] are not the encoder's embed_dim 8",
     ),
+    "fractional-embed-dim": (
+        _set_encoder(embed_dim=8.5), "pool encoder embed_dim needs an integer, got 8.5"
+    ),
+    "fractional-vocab": (_set_encoder(vocab=64.9), "pool encoder vocab needs an integer, got 64.9"),
+    "float-depth": (_set_encoder(depth=2.0), "pool encoder depth needs an integer, got 2.0"),
+    "string-seed": (_set_encoder(seed="0"), "pool encoder seed needs an integer, got '0'"),
 }
 
 
