@@ -17,13 +17,14 @@ frozen one at any weight w. Every forward takes a batch (B, L, d) of
 sequences, a single sequence being a batch of one; backward helpers return
 parameter gradients summed over the batch.
 
-Both branches split into the work that no trainable parameter touches and
-a readout over it. That work is one frozen forward (FrozenCache: the
+Neither branch changes the layer's frozen work (FrozenCache: the
 projection of the input rows, i.e. their q, k, v and the x-x score block,
-plus the frozen attention and output): residual_readout adds to its
-output, prepend_readout attends over its projection. Layer 0 reads only
-frozen embeddings, so its frozen forward can be computed once per task and
-served to every training step, whichever attachment sits on it.
+plus the frozen attention and output): the residual branch adds to its
+output, the prompt attends over its projection. Both forwards therefore
+take that work as `frozen` when it is already computed, and then do not
+read x. Layer 0 reads only frozen embeddings, so its frozen forward can be
+computed once per task and served to every training step, whichever
+attachment sits on it.
 """
 
 from __future__ import annotations
@@ -196,9 +197,9 @@ class FrozenCache(Projection):
     out: np.ndarray
 
     def take(self, idx: np.ndarray) -> "FrozenCache":
-        """The batch rows idx of what a layer-0 readout reads.
+        """The batch rows idx of what a forward given this cache reads.
 
-        A residual readout reads x, q and out, a prompt readout x, q, v and
+        A residual forward reads x, q and out, a prepend forward x, q, v and
         scores. k and attn stay None, so the result serves a backward only
         with input_grad=False, as layer 0 uses it.
         """
@@ -238,7 +239,6 @@ class ResidualCache:
     a: Adapter
     w: np.ndarray | float
     attn_r: np.ndarray
-    out: np.ndarray
 
 
 def _check_weight(w) -> np.ndarray | float:
@@ -263,34 +263,27 @@ def _broadcast_weight(w, out_r: np.ndarray):
     return w[:, None, None]
 
 
-def residual_readout(fc: FrozenCache, a: Adapter, w) -> tuple[np.ndarray, ResidualCache]:
-    """Residual layer output over a frozen forward that is already computed.
-
-    Adds w times the adapter readout softmax(Q k_r^T / sqrt(d)) v_r to
-    fc.out, reading the query Q from fc. Nothing in fc depends on the
-    adapter, so one frozen forward can serve any number of readouts.
-    """
-    if a.d != fc.p.d:
-        raise ShapeError(f"adapter width {a.d} does not match layer width {fc.p.d}")
-    w = _check_weight(w)
-    inv_sqrt_d = 1.0 / np.sqrt(fc.p.d)
-    scores_r = (fc.q @ a.k_r.T) * inv_sqrt_d
-    attn_r = softmax_rows(scores_r)
-    out_r = attn_r @ a.v_r
-    out = fc.out + _broadcast_weight(w, out_r) * out_r
-    return out, ResidualCache(frozen=fc, a=a, w=w, attn_r=attn_r, out=out)
-
-
 def residual_attn_with_cache(
-    x: np.ndarray, p: FrozenAttention, a: Adapter, w
+    x: np.ndarray, p: FrozenAttention, a: Adapter, w, frozen: FrozenCache | None = None
 ) -> tuple[np.ndarray, ResidualCache]:
     """Frozen output plus w times the adapter readout softmax(Q k_r^T / sqrt(d)) v_r.
 
     The frozen term is frozen_attn_with_cache's own output, so with v_r = 0
-    the result is bit-identical to the frozen layer.
+    the result is bit-identical to the frozen layer. frozen, if given, is
+    that forward over x, or its take() of these rows, and x is not read.
+    Nothing in it depends on the adapter, so one frozen forward can serve
+    any number of adapters.
     """
-    _, fc = frozen_attn_with_cache(x, p)
-    return residual_readout(fc, a, w)
+    fc = frozen_attn_with_cache(x, p)[1] if frozen is None else frozen
+    if a.d != p.d:
+        raise ShapeError(f"adapter width {a.d} does not match layer width {p.d}")
+    w = _check_weight(w)
+    inv_sqrt_d = 1.0 / np.sqrt(p.d)
+    scores_r = (fc.q @ a.k_r.T) * inv_sqrt_d
+    attn_r = softmax_rows(scores_r)
+    out_r = attn_r @ a.v_r
+    out = fc.out + _broadcast_weight(w, out_r) * out_r
+    return out, ResidualCache(frozen=fc, a=a, w=w, attn_r=attn_r)
 
 
 def residual_attn_backward(
@@ -319,22 +312,6 @@ def residual_attn_backward(
     return d_x, d_k_r, d_v_r
 
 
-def adapter_grads(
-    x: np.ndarray, p: FrozenAttention, a: Adapter, w, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of <d_out, residual_attn_with_cache(x, p, a, w)[0]> in (k_r, v_r).
-
-    d_v_r = w A^T d_out with A the residual attention matrix; d_k_r routes
-    w d_out through the values and the softmax Jacobian back to the keys.
-    """
-    _, cache = residual_attn_with_cache(x, p, a, w)
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != cache.out.shape:
-        raise ShapeError(f"d_out shape {d_out.shape} does not match output {cache.out.shape}")
-    _, d_k_r, d_v_r = residual_attn_backward(cache, d_out)
-    return d_k_r, d_v_r
-
-
 @dataclass
 class PrependCache:
     proj: Projection  # of the input rows
@@ -352,16 +329,22 @@ def _prepend_rows(head: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def prepend_readout(pj: Projection, prompt: PromptBaseline) -> tuple[np.ndarray, PrependCache]:
-    """Prepend layer output over a projection of the input rows.
+def prepend_attn_with_cache(
+    x: np.ndarray, p: FrozenAttention, prompt: PromptBaseline, frozen: Projection | None = None
+) -> tuple[np.ndarray, PrependCache]:
+    """Self-attention over [prompt; x], keeping only the last L output rows.
 
-    The prompt's keys and values are projected once for the whole batch.
-    Only the input rows' queries are formed: the prompt rows' outputs are
-    discarded, so their queries, score rows and softmax are never needed.
-    Each kept row attends over [prompt; x] with scores [x-prompt | x-x], so
-    the result equals the full attention over the concatenation, bit for bit.
+    Every kept row attends over prompt and input rows jointly, so a nonzero
+    prompt changes the output; there is no weight that turns it off.
+    frozen, if given, is x's projection, or the take() of a FrozenCache, and
+    x is not read. The prompt's keys and values are projected once for the
+    whole batch. Only the input rows' queries are formed: the prompt rows'
+    outputs are discarded, so their queries, score rows and softmax are
+    never needed. Each kept row attends over [prompt; x] with scores
+    [x-prompt | x-x], so the result equals the full attention over the
+    concatenation, bit for bit.
     """
-    p = pj.p
+    pj = project(x, p) if frozen is None else frozen
     if prompt.d != p.d:
         raise ShapeError(f"prompt width {prompt.d} does not match layer width {p.d}")
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
@@ -372,17 +355,6 @@ def prepend_readout(pj: Projection, prompt: PromptBaseline) -> tuple[np.ndarray,
     v = _prepend_rows(v_p, pj.v)
     out = attn @ v
     return out, PrependCache(proj=pj, k_p=k_p, v=v, attn=attn)
-
-
-def prepend_attn_with_cache(
-    x: np.ndarray, p: FrozenAttention, prompt: PromptBaseline
-) -> tuple[np.ndarray, PrependCache]:
-    """Self-attention over [prompt; x], keeping only the last L output rows.
-
-    Every kept row attends over prompt and input rows jointly, so a nonzero
-    prompt changes the output; there is no weight that turns it off.
-    """
-    return prepend_readout(project(x, p), prompt)
 
 
 def prepend_attn_backward(

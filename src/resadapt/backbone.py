@@ -28,11 +28,9 @@ from .attention import (
     frozen_attn_with_cache,
     prepend_attn_backward,
     prepend_attn_with_cache,
-    prepend_readout,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
-    residual_readout,
 )
 from .errors import ConfigError, ContractError, ShapeError
 from .numkernel import make_rng
@@ -135,20 +133,13 @@ class EncodeCache:
 
 def _apply_layer(x, layer, attach, w, layer0):
     # layer0, when given, is this layer's frozen forward over x, computed
-    # earlier: its output, the frozen output an adapter adds to, or the
-    # projection a prompt attends over.
+    # earlier; the layer's forward takes it in place of x.
     if attach is None:
         out, cache = frozen_attn_with_cache(x, layer) if layer0 is None else (layer0.out, layer0)
     elif isinstance(attach, Adapter):
-        if layer0 is None:
-            out, cache = residual_attn_with_cache(x, layer, attach, w)
-        else:
-            out, cache = residual_readout(layer0, attach, w)
+        out, cache = residual_attn_with_cache(x, layer, attach, w, layer0)
     elif isinstance(attach, PromptBaseline):
-        if layer0 is None:
-            out, cache = prepend_attn_with_cache(x, layer, attach)
-        else:
-            out, cache = prepend_readout(layer0, attach)
+        out, cache = prepend_attn_with_cache(x, layer, attach, layer0)
     else:
         raise ContractError(f"unsupported per-layer attachment {type(attach).__name__}")
     return x + out, cache
@@ -157,11 +148,11 @@ def _apply_layer(x, layer, attach, w, layer0):
 def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
     """Layer 0's frozen forward over the embedded token ids.
 
-    A residual adapter on layer 0 adds its readout to this forward's
-    output; a prompt attends over its projection of the input rows. Layer 0
-    reads only the frozen embeddings, and no attachment changes this work,
-    so no training step changes this cache: encode_with_cache can take it,
-    or its take() of some rows, in place of recomputing it.
+    A residual adapter on layer 0 adds to this forward's output; a prompt
+    attends over its projection of the input rows. Layer 0 reads only the
+    frozen embeddings, and no attachment changes this work, so no training
+    step changes this cache: encode_with_cache can take it, or its take()
+    of some rows, in place of recomputing it.
     """
     ids = _check_ids(token_ids, stack.vocab)
     return frozen_attn_with_cache(stack.embed[ids], stack.layers[0])[1]
@@ -178,8 +169,8 @@ def encode_with_cache(
 
     layer0, if given, is layer0_cache(token_ids, stack) or its take() of
     these rows: it replaces the embedding lookup and layer 0's frozen
-    forward, and the token ids are then not read again. Layer 0 then adds
-    only its attachment's readout, residual or prompt, if it has one.
+    forward, and the token ids are then not read again. Layer 0's forward,
+    residual or prompt, then runs over it without recomputing that work.
     """
     if adapters is not None and len(adapters) > stack.depth:
         raise ShapeError(f"{len(adapters)} attachments for a depth-{stack.depth} stack")

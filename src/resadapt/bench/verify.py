@@ -30,9 +30,9 @@ import numpy as np
 
 from ..attention import (
     Adapter,
-    adapter_grads,
     init_adapter,
     random_frozen_attention,
+    residual_attn_backward,
     residual_attn_with_cache,
 )
 from ..backbone import EncoderSpec, build_dual_encoder, encode
@@ -53,7 +53,7 @@ class VerifyReport:
     suite: str
     passed: bool = True
     lines: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # set by run_suite
     claims: ClaimsResult | None = None  # the claims suite's measurements
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
@@ -64,7 +64,6 @@ class VerifyReport:
 
 def verify_zero_init_identity(seed: int = 0, n_inputs: int = 100) -> VerifyReport:
     """Fresh adapters at several depths must leave features bit-unchanged."""
-    t0 = time.monotonic()
     report = VerifyReport(suite="zero-init")
     enc = build_dual_encoder(vocab=256, d=32, depth=2, seed=seed)
     rng = make_rng(seed, 41)
@@ -86,7 +85,6 @@ def verify_zero_init_identity(seed: int = 0, n_inputs: int = 100) -> VerifyRepor
         worst <= 1e-12,
         f"max deviation {worst:.3e}",
     )
-    report.elapsed = time.monotonic() - t0
     return report
 
 
@@ -97,7 +95,6 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def verify_gradcheck(trials: int = 50, seed: int = 0, h: float = 1e-5) -> VerifyReport:
     """Analytic adapter gradients vs central differences on random instances."""
-    t0 = time.monotonic()
     report = VerifyReport(suite="gradcheck")
     rng = make_rng(seed, 42)
     worst = 0.0
@@ -112,7 +109,8 @@ def verify_gradcheck(trials: int = 50, seed: int = 0, h: float = 1e-5) -> Verify
             a = Adapter(k_r=a.k_r, v_r=np.zeros((l, d)))  # fresh-value corner
         w = 0.0 if trial % 11 == 0 else float(rng.uniform(0.0, 1.0))
         d_out = rng.normal(0.0, 1.0, size=(1, seq_len, d))
-        g_k, g_v = adapter_grads(x, p, a, w, d_out)
+        _, cache = residual_attn_with_cache(x, p, a, w)
+        _, g_k, g_v = residual_attn_backward(cache, d_out)
 
         def loss(k_r: np.ndarray, v_r: np.ndarray) -> float:
             out, _ = residual_attn_with_cache(x, p, Adapter(k_r=k_r, v_r=v_r), w)
@@ -126,7 +124,6 @@ def verify_gradcheck(trials: int = 50, seed: int = 0, h: float = 1e-5) -> Verify
         worst <= 1e-4,
         f"worst relative error {worst:.3e}",
     )
-    report.elapsed = time.monotonic() - t0
     return report
 
 
@@ -142,7 +139,6 @@ def verify_degenerate_init(
     zero values) must break row equality after the first step and reduce
     the loss.
     """
-    t0 = time.monotonic()
     report = VerifyReport(suite="degenerate-init")
     l, d, seq_len = dims
     rng = make_rng(seed, 43)
@@ -152,9 +148,9 @@ def verify_degenerate_init(
     lr = 0.2
 
     def loss_and_grad(a: Adapter) -> tuple[float, np.ndarray, np.ndarray]:
-        out, _ = residual_attn_with_cache(x, p, a, 1.0)
+        out, cache = residual_attn_with_cache(x, p, a, 1.0)
         diff = out - target
-        g_k, g_v = adapter_grads(x, p, a, 1.0, diff)
+        _, g_k, g_v = residual_attn_backward(cache, diff)
         return 0.5 * float((diff * diff).sum()), g_k, g_v
 
     # (a) fully degenerate start.
@@ -208,7 +204,6 @@ def verify_degenerate_init(
         final_loss < losses[0],
         f"{losses[0]:.6f} -> {final_loss:.6f}",
     )
-    report.elapsed = time.monotonic() - t0
     return report
 
 
@@ -232,7 +227,6 @@ def _brute_force_metrics(p: np.ndarray) -> tuple[list[float], list[float], list[
 
 def verify_metrics(seed: int = 0, n_random: int = 100) -> VerifyReport:
     """Hand-checked 2x2 case plus random matrices against a loop oracle."""
-    t0 = time.monotonic()
     report = VerifyReport(suite="metrics")
     p = np.array([[0.80, 0.50], [0.75, 0.90]])
     t_per, t_agg = metric_transfer(p)
@@ -272,7 +266,6 @@ def verify_metrics(seed: int = 0, n_random: int = 100) -> VerifyReport:
         worst <= 1e-12,
         f"max deviation {worst:.3e}",
     )
-    report.elapsed = time.monotonic() - t0
     return report
 
 
@@ -323,7 +316,6 @@ def verify_claims(seed: int = 0) -> VerifyReport:
     sample. The backbone and training seeds stay those of configs/default.cfg.
     The report carries the measurements as `claims`.
     """
-    t0 = time.monotonic()
     report = VerifyReport(suite="claims")
     stream = gen_stream(StreamSpec(seed=seed))
     enc = EncoderSpec().build()
@@ -384,7 +376,6 @@ def verify_claims(seed: int = 0) -> VerifyReport:
         f"{at}: " + " ".join(f"{v:.4f}" for v in unseen.values()),
     )
     report.claims = ClaimsResult(arms, zs, assign, trained, unseen, calibrated_s)
-    report.elapsed = time.monotonic() - t0
     return report
 
 
@@ -397,8 +388,14 @@ SUITES = {
 }
 
 
+def _timed(suite, seed: int) -> VerifyReport:
+    t0 = time.monotonic()
+    report = suite(seed=seed)
+    report.elapsed = time.monotonic() - t0
+    return report
+
+
 def run_suite(name: str, seed: int = 0) -> list[VerifyReport]:
-    """Run one suite or all of them; unknown names raise KeyError."""
-    if name == "all":
-        return [fn(seed=seed) for fn in SUITES.values()]
-    return [SUITES[name](seed=seed)]
+    """Run one suite or all of them, each report timed; unknown names raise KeyError."""
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [_timed(suite, seed) for suite in suites]

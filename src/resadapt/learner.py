@@ -203,7 +203,7 @@ def train_task(
     frozen forward: a residual adapter adds to its output, a prompt attends
     over its projection of the input rows. That forward over every
     training row and every template is computed once per task; each step
-    takes its batch's rows and adds only the layer-0 readout.
+    takes its batch's rows and passes them to layer 0's branch forward.
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)

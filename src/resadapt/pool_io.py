@@ -15,10 +15,11 @@ vec = {"len": n, "data": [hex...]}, and att is {"k_r": mtx, "v_r": mtx}
 in a residual pool or {"p": mtx} in a prepend pool.
 
 A Gaussian's Cholesky factor and log-determinant are not stored: the loader
-recomputes both from sigma. The encoder record holds JSON integers (no
-bools), every stored value must be finite and the ridge positive. Every
-attachment and Gaussian has the encoder's width, and an entry holds as many
-image as text attachments, at most one per layer.
+recomputes both from sigma. The encoder record and every payload's rows,
+cols and len hold JSON integers (no bools), every stored value must be
+finite and the ridge positive. Every attachment and Gaussian has the
+encoder's width, and an entry holds as many image as text attachments, at
+most one per layer.
 Version 1 files are rejected.
 """
 
@@ -51,8 +52,15 @@ def _enc_mtx(a: np.ndarray) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # a bool, a float or a string is no integer
+        raise ConfigError(f"{what} needs an integer, got {value!r}")
+    return value
+
+
 def _dec_mtx(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows = _json_int(obj["rows"], "pool matrix rows")
+    cols = _json_int(obj["cols"], "pool matrix cols")
     data = np.array([float.fromhex(s) for s in obj["data"]], dtype=np.float64)
     if data.size != rows * cols:
         raise ConfigError(f"matrix payload has {data.size} values for {rows}x{cols}")
@@ -65,7 +73,7 @@ def _enc_vec(a: np.ndarray) -> dict:
 
 def _dec_vec(obj: dict) -> np.ndarray:
     data = vec([float.fromhex(s) for s in obj["data"]])
-    if data.size != int(obj["len"]):
+    if data.size != _json_int(obj["len"], "pool vector len"):
         raise ConfigError("vector payload length mismatch")
     return data
 
@@ -171,8 +179,7 @@ def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
     if not isinstance(enc_doc, dict):
         raise ConfigError("pool file is missing its encoder record")
     for key in ("vocab", "embed_dim", "depth", "seed"):
-        if type(enc_doc[key]) is not int:  # a bool, a float or a string is no integer
-            raise ConfigError(f"pool encoder {key} needs an integer, got {enc_doc[key]!r}")
+        _json_int(enc_doc[key], f"pool encoder {key}")
     encoder = EncoderSpec(
         vocab=enc_doc["vocab"], d=enc_doc["embed_dim"], depth=enc_doc["depth"], seed=enc_doc["seed"]
     )

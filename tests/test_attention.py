@@ -11,18 +11,15 @@ from resadapt.attention import (
     Adapter,
     FrozenAttention,
     PromptBaseline,
-    adapter_grads,
     frozen_attn_backward,
     frozen_attn_with_cache,
     init_adapter,
     init_adapter_ablation,
     prepend_attn_backward,
     prepend_attn_with_cache,
-    prepend_readout,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
-    residual_readout,
 )
 from resadapt.errors import ContractError, ShapeError
 from resadapt.numkernel import finite_diff_grad, make_rng, softmax_rows
@@ -38,6 +35,12 @@ def residual(x, p, a, w):
 
 def prepend(x, p, prompt):
     return prepend_attn_with_cache(x, p, prompt)[0]
+
+
+def adapter_grads(x, p, a, w, d_out):
+    """(d_k_r, d_v_r) of <d_out, residual(x, p, a, w)>."""
+    _, cache = residual_attn_with_cache(x, p, a, w)
+    return residual_attn_backward(cache, d_out)[1:]
 
 
 def naive_attention(x, w_q, w_k, w_v, b_q, b_k, b_v):
@@ -191,20 +194,20 @@ def test_prepend_equals_attention_over_concat_bitwise(b, length, l, d):
     assert none is None and np.array_equal(d_prompt_only, want_d_prompt)
 
 
-def test_prepend_readout_over_taken_projection_bitwise_equal():
+def test_prepend_over_taken_frozen_cache_bitwise_equal():
     # Layer 0's frozen forward over a whole training set, restricted to a
     # batch, is a projection that must give the batch's own prepend forward
-    # and backward bit for bit.
+    # and backward bit for bit, without reading x.
     rng = make_rng(24)
     p = random_frozen_attention(4, rng)
     prompt = PromptBaseline(p=rng.normal(size=(2, 4)))
     x = rng.normal(size=(9, 3, 4))
     _, whole = frozen_attn_with_cache(x, p)
     for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
-        got, got_cache = prepend_readout(whole.take(idx), prompt)
+        got, got_cache = prepend_attn_with_cache(None, p, prompt, frozen=whole.take(idx))
         want, want_cache = prepend_attn_with_cache(x[idx], p, prompt)
         assert np.array_equal(got, want)
-        # The taken rows hold what a readout and its prompt backward read.
+        # The taken rows hold what the forward and its prompt backward read.
         for name in ("x", "q", "v", "scores"):
             assert np.array_equal(getattr(got_cache.proj, name), getattr(want_cache.proj, name))
         assert got_cache.proj.k is got_cache.proj.attn is None
@@ -308,20 +311,21 @@ def test_residual_per_sample_weight_nan_rejected():
         residual(rng.normal(size=(3, 2, 3)), p, a, np.array([0.5, float("nan"), 1.0]))
 
 
-def test_readout_over_batch_cache_rows_bitwise_equal():
+def test_residual_over_taken_frozen_cache_bitwise_equal():
     # Layer 0's frozen forward over a whole training set, restricted to a
-    # batch, must give the batch's own residual forward bit for bit.
+    # batch, must give the batch's own residual forward bit for bit, without
+    # reading x.
     rng = make_rng(18)
     p = random_frozen_attention(4, rng)
     a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
     x = rng.normal(size=(9, 3, 4))
     _, whole = frozen_attn_with_cache(x, p)
     for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
-        got, got_cache = residual_readout(whole.take(idx), a, 1.0)
+        got, got_cache = residual_attn_with_cache(None, p, a, 1.0, frozen=whole.take(idx))
         want, want_cache = residual_attn_with_cache(x[idx], p, a, 1.0)
         assert np.array_equal(got, want)
         assert np.array_equal(got_cache.attn_r, want_cache.attn_r)
-        # The taken rows hold what a readout and its parameter backward read.
+        # The taken rows hold what the forward and its parameter backward read.
         for name in ("x", "q", "v", "scores", "out"):
             assert np.array_equal(getattr(got_cache.frozen, name), getattr(want_cache.frozen, name))
         assert got_cache.frozen.k is got_cache.frozen.attn is None

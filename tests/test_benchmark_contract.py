@@ -101,6 +101,26 @@ def test_traced_run_counts_every_step(tracer, small_encoder, mode):
     assert tr.calls["attention.frozen_attn_backward"] == frozen_per_step * steps
 
 
+@pytest.mark.parametrize("mode", ["iki", "prepend"])
+def test_traced_training_runs_one_forward_per_backward(tracer, small_encoder, mode):
+    # Every training step runs its branch's forward on each layer of each
+    # tower, layer 0 over the task's frozen cache included, so the per-layer
+    # split sees every forward whose backward it counts.
+    spec = StreamSpec(num_tasks=2, classes_per_task=2, samples_per_class=20, vocab=64)
+    stream = gen_stream(spec)
+    cfg = TrainConfig(epochs=2, batch=12, prompt_len=4, adapter_depth=2)
+    tr = tracer.Tracer()
+    with tr.installed():
+        continual.train_pool(stream, small_encoder, cfg, mode)
+    steps = tr.counters["learner.train_task.steps"]
+    assert steps == spec.num_tasks * cfg.epochs * math.ceil(len(stream[0].train_labels) / cfg.batch)
+    branch = "prepend" if mode == "prepend" else "residual"
+    other = "residual" if mode == "prepend" else "prepend"
+    assert tr.calls[f"attention.{branch}_attn_with_cache"] == 4 * steps
+    assert tr.calls[f"attention.{branch}_attn_backward"] == 4 * steps
+    assert tr.calls[f"attention.{other}_attn_with_cache"] == 0
+
+
 def test_op_probe_calls_on_its_shapes():
     # The calls perfbench/run.py's op_probe makes, on its shapes: the first
     # 32 training sequences of task 0 of configs/default.cfg, through the

@@ -442,6 +442,12 @@ def _set_entry(key, value):
     return mutate
 
 
+def _set_gaussian(part, **fields):
+    def mutate(doc):
+        doc["entries"][0]["gaussian"][part].update(fields)
+    return mutate
+
+
 # Each mutation of a stored pool that loading used to accept, or died on
 # with a traceback: the entries no longer match the encoder record.
 POOL_MUTATIONS = {
@@ -462,6 +468,12 @@ POOL_MUTATIONS = {
     "fractional-vocab": (_set_encoder(vocab=64.9), "pool encoder vocab needs an integer, got 64.9"),
     "float-depth": (_set_encoder(depth=2.0), "pool encoder depth needs an integer, got 2.0"),
     "string-seed": (_set_encoder(seed="0"), "pool encoder seed needs an integer, got '0'"),
+    # int() once matched each of these to its payload's 8 values.
+    "fractional-mu-len": (_set_gaussian("mu", len=8.5), "pool vector len needs an integer, got 8.5"),
+    "string-mu-len": (_set_gaussian("mu", len="8"), "pool vector len needs an integer, got '8'"),
+    "float-sigma-rows": (
+        _set_gaussian("sigma", rows=8.0), "pool matrix rows needs an integer, got 8.0"
+    ),
 }
 
 
