@@ -468,7 +468,7 @@ POOL_MUTATIONS = {
     "fractional-vocab": (_set_encoder(vocab=64.9), "pool encoder vocab needs an integer, got 64.9"),
     "float-depth": (_set_encoder(depth=2.0), "pool encoder depth needs an integer, got 2.0"),
     "string-seed": (_set_encoder(seed="0"), "pool encoder seed needs an integer, got '0'"),
-    # int() once matched each of these to its payload's 8 values.
+    # Payload sizes that int() would match to the 8 stored values.
     "fractional-mu-len": (_set_gaussian("mu", len=8.5), "pool vector len needs an integer, got 8.5"),
     "string-mu-len": (_set_gaussian("mu", len="8"), "pool vector len needs an integer, got '8'"),
     "float-sigma-rows": (
