@@ -65,47 +65,46 @@ class FrozenAttention:
 
 
 @dataclass(frozen=True)
-class Adapter:
-    """Residual-branch parameters: keys k_r and values v_r, both (l, d).
+class Attachment:
+    """Trainable rows on a frozen layer: every field (l, d), one shape, l >= 1.
 
-    Instances are immutable; training replaces them wholesale.
+    A subclass declares only its fields, which every reader takes in
+    declaration order. Instances are immutable; training replaces them.
     """
+
+    def __post_init__(self):
+        # vars() holds the fields in declaration order, cheaper than fields().
+        shapes = [v.shape for v in vars(self).values()]
+        if len(shapes[0]) != 2 or shapes[0][0] < 1 or shapes.count(shapes[0]) != len(shapes):
+            raise ShapeError(f"{type(self).__name__} fields must share one (l, d) shape "
+                             f"with l >= 1, got {shapes}")
+
+    @property
+    def l(self) -> int:
+        return next(iter(vars(self).values())).shape[0]
+
+    @property
+    def d(self) -> int:
+        return next(iter(vars(self).values())).shape[1]
+
+
+@dataclass(frozen=True)
+class Adapter(Attachment):
+    """Residual-branch parameters: keys k_r and values v_r."""
 
     k_r: np.ndarray
     v_r: np.ndarray
 
-    def __post_init__(self):
-        if self.k_r.ndim != 2 or self.k_r.shape != self.v_r.shape:
-            raise ShapeError(
-                f"k_r and v_r must share an (l, d) shape, got {self.k_r.shape} and {self.v_r.shape}"
-            )
-
-    @property
-    def l(self) -> int:
-        return self.k_r.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.k_r.shape[1]
-
 
 @dataclass(frozen=True)
-class PromptBaseline:
-    """Prepend-baseline parameters: l learned prompt rows of width d."""
+class PromptBaseline(Attachment):
+    """Prepend-baseline parameters: l learned prompt rows p."""
 
     p: np.ndarray
 
-    def __post_init__(self):
-        if self.p.ndim != 2:
-            raise ShapeError(f"prompt must be (l, d), got {self.p.shape}")
 
-    @property
-    def l(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.p.shape[1]
+# Each attachment kind's class, by its pool-file name.
+ATTACHMENTS = {"residual": Adapter, "prepend": PromptBaseline}
 
 
 def random_frozen_attention(d: int, rng: np.random.Generator) -> FrozenAttention:
@@ -237,12 +236,13 @@ def frozen_attn_backward(cache: FrozenCache, d_out: np.ndarray) -> np.ndarray:
 class ResidualCache:
     frozen: FrozenCache
     a: Adapter
-    w: np.ndarray | float
+    w: np.ndarray | float  # a float or a (B, 1, 1) view, from _check_weight
     attn_r: np.ndarray
 
 
-def _check_weight(w) -> np.ndarray | float:
-    # Both tests are written so that NaN fails them. A float, the weight
+def _check_weight(w, batch: int) -> np.ndarray | float:
+    # w as a float, or one weight per row as a (batch, 1, 1) view. Both
+    # tests are written so that NaN fails them. A float, the weight
     # training pins at every step, skips the array round trip.
     if isinstance(w, float):
         if not 0.0 <= w <= 1.0:
@@ -251,16 +251,11 @@ def _check_weight(w) -> np.ndarray | float:
     w_arr = np.asarray(w, dtype=np.float64)
     if not np.all((w_arr >= 0.0) & (w_arr <= 1.0)):
         raise ContractError(f"residual weight must lie in [0, 1], got {w}")
-    return float(w_arr) if w_arr.ndim == 0 else w_arr
-
-
-def _broadcast_weight(w, out_r: np.ndarray):
-    # Scalar w, or one weight per batch element.
-    if isinstance(w, float):
-        return w
-    if w.shape != (out_r.shape[0],):
-        raise ShapeError(f"per-sample weights {w.shape} do not match batch {out_r.shape}")
-    return w[:, None, None]
+    if w_arr.ndim == 0:
+        return float(w_arr)
+    if w_arr.shape != (batch,):
+        raise ShapeError(f"per-sample weights {w_arr.shape} do not match batch {batch}")
+    return w_arr[:, None, None]
 
 
 def residual_attn_with_cache(
@@ -277,12 +272,12 @@ def residual_attn_with_cache(
     fc = frozen_attn_with_cache(x, p)[1] if frozen is None else frozen
     if a.d != p.d:
         raise ShapeError(f"adapter width {a.d} does not match layer width {p.d}")
-    w = _check_weight(w)
+    w = _check_weight(w, fc.q.shape[0])
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
     scores_r = (fc.q @ a.k_r.T) * inv_sqrt_d
     attn_r = softmax_rows(scores_r)
     out_r = attn_r @ a.v_r
-    out = fc.out + _broadcast_weight(w, out_r) * out_r
+    out = fc.out + w * out_r
     return out, ResidualCache(frozen=fc, a=a, w=w, attn_r=attn_r)
 
 
@@ -300,7 +295,7 @@ def residual_attn_backward(
     fc = cache.frozen
     a = cache.a
     inv_sqrt_d = 1.0 / np.sqrt(fc.p.d)
-    wd = _broadcast_weight(cache.w, d_out) * d_out
+    wd = cache.w * d_out
     d_v_r = (np.swapaxes(cache.attn_r, -1, -2) @ wd).sum(axis=0)
     d_attn_r = wd @ a.v_r.T
     d_scores_r = softmax_backward(cache.attn_r, d_attn_r)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .attention import (
     Adapter,
+    Attachment,
     FrozenAttention,
     FrozenCache,
     PrependCache,
@@ -161,7 +162,7 @@ def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
 def encode_with_cache(
     token_ids,
     stack: EncoderStack,
-    adapters: Sequence[Adapter | PromptBaseline] | None = None,
+    adapters: Sequence[Attachment] | None = None,
     w=1.0,
     layer0: FrozenCache | None = None,
 ) -> tuple[np.ndarray, EncodeCache]:
@@ -196,9 +197,9 @@ def encode_with_cache(
 def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
     """Backward to the trainable attachments.
 
-    Returns a per-layer list: None for plain frozen layers, (d_k_r, d_v_r)
-    for residual adapters, d_prompt for prepend prompts. Gradients are
-    summed over the batch. Embeddings are frozen, so propagation stops
+    Returns a per-layer list: None for a plain frozen layer, else one
+    gradient per field of the layer's attachment, in field order, summed
+    over the batch. Embeddings are frozen, so propagation stops
     below layer 0: layer 0 computes only its own parameter gradients, and
     its input gradient is never formed.
     """
@@ -212,10 +213,9 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
     for i in range(len(cache.layer_caches) - 1, -1, -1):
         layer_cache = cache.layer_caches[i]
         if isinstance(layer_cache, ResidualCache):
-            d_attn_in, d_k_r, d_v_r = residual_attn_backward(layer_cache, d_x, input_grad=i > 0)
-            grads[i] = (d_k_r, d_v_r)
+            d_attn_in, *grads[i] = residual_attn_backward(layer_cache, d_x, input_grad=i > 0)
         elif isinstance(layer_cache, PrependCache):
-            d_attn_in, grads[i] = prepend_attn_backward(layer_cache, d_x, input_grad=i > 0)
+            d_attn_in, *grads[i] = prepend_attn_backward(layer_cache, d_x, input_grad=i > 0)
         elif i > 0:
             d_attn_in = frozen_attn_backward(layer_cache, d_x)
         if i > 0:
@@ -227,7 +227,7 @@ def encode_backward(cache: EncodeCache, d_feats: np.ndarray) -> list:
 def encode(
     token_ids,
     stack: EncoderStack,
-    adapters: Sequence[Adapter | PromptBaseline] | None = None,
+    adapters: Sequence[Attachment] | None = None,
     w=1.0,
 ) -> np.ndarray:
     """Unit-norm features (B, d) of a batch of (B, L) token ids.
@@ -245,7 +245,7 @@ def encode(
 def class_embeddings(
     classes: np.ndarray,
     stack: EncoderStack,
-    adapters: Sequence[Adapter | PromptBaseline] | None = None,
+    adapters: Sequence[Attachment] | None = None,
     w=1.0,
 ) -> np.ndarray:
     """Encode (K, L) class template token rows; returns (K, d) in row order."""

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import Adapter, PromptBaseline, init_adapter, init_adapter_ablation
+from .attention import Attachment, PromptBaseline, init_adapter, init_adapter_ablation
 from .backbone import (
     DualEncoder,
     class_embeddings,
@@ -100,7 +100,7 @@ class AdapterSet:
     def __post_init__(self):
         for side in (self.image_adapters, self.text_adapters):
             for a in side:
-                if not isinstance(a, (Adapter, PromptBaseline)):
+                if not isinstance(a, Attachment):
                     raise ContractError(f"unsupported attachment {type(a).__name__}")
         shapes = {(a.l, a.d) for a in self.image_adapters + self.text_adapters}
         if len(shapes) > 1:
@@ -146,7 +146,7 @@ def _init_attachments(mode: AdapterMode, cfg: TrainConfig, d: int, rng: np.rando
     out = []
     for _ in range(cfg.adapter_depth):
         if mode.mechanism == "prepend":
-            out.append(PromptBaseline(p=rng.uniform(-bound, bound, size=(cfg.prompt_len, d))))
+            out.append(PromptBaseline(rng.uniform(-bound, bound, size=(cfg.prompt_len, d))))
         elif mode.init_bound is None:
             out.append(init_adapter(cfg.prompt_len, d, bound, rng))
         else:
@@ -155,16 +155,11 @@ def _init_attachments(mode: AdapterMode, cfg: TrainConfig, d: int, rng: np.rando
 
 
 def _sgd_step(attachments: list, grads: list, lr: float) -> list:
-    out = []
-    for att, g in zip(attachments, grads):
-        if g is None:
-            out.append(att)
-        elif isinstance(att, Adapter):
-            d_k, d_v = g
-            out.append(Adapter(k_r=att.k_r - lr * d_k, v_r=att.v_r - lr * d_v))
-        else:
-            out.append(PromptBaseline(p=att.p - lr * g))
-    return out
+    # Each field moves against its gradient; grads list them in field order.
+    return [
+        type(att)(*(v - lr * g for v, g in zip(vars(att).values(), gs)))
+        for att, gs in zip(attachments, grads)
+    ]
 
 
 def batch_cross_entropy(logit_rows: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -11,8 +11,8 @@ Layout:
      {"image_adapters": [att...], "text_adapters": [att...],
       "gaussian": {"mu": vec, "sigma": mtx, "ridge": hex}}]}
 where mtx = {"rows": r, "cols": c, "data": [hex...]} (row-major),
-vec = {"len": n, "data": [hex...]}, and att is {"k_r": mtx, "v_r": mtx}
-in a residual pool or {"p": mtx} in a prepend pool.
+vec = {"len": n, "data": [hex...]}, and att = {field: mtx} per field of the
+kind's class in attention.ATTACHMENTS: k_r, v_r (residual) or p (prepend).
 
 A Gaussian's Cholesky factor and log-determinant are not stored: the loader
 recomputes both from sigma. The encoder record and every payload's rows,
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .attention import Adapter, PromptBaseline
+from .attention import ATTACHMENTS
 from .backbone import EncoderSpec
 from .errors import ConfigError, ContractError, ShapeError, SingularityError
 from .learner import AdapterSet, PoolEntry, TaskPool
@@ -40,8 +41,6 @@ from .numkernel import cholesky_factor, cholesky_logdet, mat, vec
 
 FORMAT_NAME = "resadapt-pool"
 FORMAT_VERSION = 2
-# The keys of one attachment, by pool kind.
-ATTACHMENT_KEYS = {"residual": ["k_r", "v_r"], "prepend": ["p"]}
 
 
 def _enc_mtx(a: np.ndarray) -> dict:
@@ -79,20 +78,16 @@ def _dec_vec(obj: dict) -> np.ndarray:
 
 
 def _enc_attachment(att) -> dict:
-    if isinstance(att, Adapter):
-        return {"k_r": _enc_mtx(att.k_r), "v_r": _enc_mtx(att.v_r)}
-    if isinstance(att, PromptBaseline):
-        return {"p": _enc_mtx(att.p)}
-    raise ConfigError(f"cannot serialize attachment {type(att).__name__}")
+    return {name: _enc_mtx(value) for name, value in vars(att).items()}
 
 
 def _dec_attachment(obj: dict, kind: str):
+    cls = ATTACHMENTS[kind]
+    names = [f.name for f in fields(cls)]
     keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-    if keys != ATTACHMENT_KEYS[kind]:
-        raise ConfigError(f"a {kind} pool's attachments hold {ATTACHMENT_KEYS[kind]}, got {keys}")
-    if kind == "prepend":
-        return PromptBaseline(p=_dec_mtx(obj["p"]))
-    return Adapter(k_r=_dec_mtx(obj["k_r"]), v_r=_dec_mtx(obj["v_r"]))
+    if keys != sorted(names):
+        raise ConfigError(f"a {kind} pool's attachments hold {names}, got {keys}")
+    return cls(*(_dec_mtx(obj[name]) for name in names))
 
 
 def save_pool(pool: TaskPool, path: str | Path, encoder: EncoderSpec) -> None:
@@ -173,7 +168,7 @@ def _decode_pool(doc, path) -> tuple[TaskPool, EncoderSpec]:
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported pool version {doc.get('version')}")
     kind = doc.get("kind")
-    if kind not in tuple(ATTACHMENT_KEYS):  # a tuple: kind may be unhashable
+    if kind not in tuple(ATTACHMENTS):  # a tuple: kind may be unhashable
         raise ConfigError(f"unknown pool kind {kind!r}")
     enc_doc = doc.get("encoder")
     if not isinstance(enc_doc, dict):

@@ -1,6 +1,7 @@
 """Attention layer contracts: frozen, prepend, residual, and gradients."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resadapt.attention import (
+    ATTACHMENTS,
     Adapter,
+    Attachment,
     FrozenAttention,
     PromptBaseline,
     frozen_attn_backward,
@@ -311,6 +314,47 @@ def test_residual_per_sample_weight_nan_rejected():
         residual(rng.normal(size=(3, 2, 3)), p, a, np.array([0.5, float("nan"), 1.0]))
 
 
+def test_residual_per_sample_weight_length_mismatch():
+    rng = make_rng(11)
+    p = random_frozen_attention(3, rng)
+    a = init_adapter(2, 3, 0.02, rng)
+    with pytest.raises(ShapeError, match=r"per-sample weights \(2,\) do not match batch 3"):
+        residual(rng.normal(size=(3, 2, 3)), p, a, np.array([0.5, 1.0]))
+
+
+def test_residual_backward_per_sample_weights_equal_loop():
+    # The forward stores the checked (B, 1, 1) weight view; the backward
+    # scales by it and matches one single-row backward per row.
+    rng = make_rng(12)
+    p = random_frozen_attention(4, rng)
+    a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
+    x = rng.normal(size=(3, 2, 4))
+    d_out = rng.normal(size=(3, 2, 4))
+    ws = np.array([0.0, 0.25, 1.0])
+    d_x, d_k, d_v = residual_attn_backward(residual_attn_with_cache(x, p, a, ws)[1], d_out)
+    rows = [
+        residual_attn_backward(residual_attn_with_cache(x[i : i + 1], p, a, float(ws[i]))[1],
+                               d_out[i : i + 1])
+        for i in range(3)
+    ]
+    assert np.allclose(d_x, np.concatenate([r[0] for r in rows]), atol=1e-13)
+    assert np.allclose(d_k, sum(r[1] for r in rows), atol=1e-13)
+    assert np.allclose(d_v, sum(r[2] for r in rows), atol=1e-13)
+
+
+@pytest.mark.parametrize("branch", ["residual", "prepend"])
+def test_attachment_width_must_match_layer(branch):
+    rng = make_rng(3)
+    p = random_frozen_attention(4, rng)
+    x = rng.normal(size=(1, 2, 4))
+    with pytest.raises(ShapeError, match=f"{'adapter' if branch == 'residual' else 'prompt'} "
+                                         "width 5 does not match layer width 4"):
+        if branch == "residual":
+            residual(x, p, init_adapter(2, 5, 0.02, rng), 1.0)
+        else:
+            prepend(x, p, PromptBaseline(p=rng.normal(size=(2, 5))))
+
+
 def test_residual_over_taken_frozen_cache_bitwise_equal():
     # Layer 0's frozen forward over a whole training set, restricted to a
     # batch, must give the batch's own residual forward bit for bit, without
@@ -493,3 +537,21 @@ def test_ablation_init_breaks_identity_and_grows_with_bound():
 def test_adapter_construction_validates_shapes():
     with pytest.raises(ShapeError):
         Adapter(k_r=np.zeros((2, 3)), v_r=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("cls", [Adapter, PromptBaseline])
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (1, 2, 3)])
+def test_attachment_fields_must_be_nonempty_rows(cls, shape):
+    # One shape rule for every kind: each field (l, d) with l >= 1.
+    n = len(fields(cls))
+    with pytest.raises(ShapeError, match=r"must share one \(l, d\) shape with l >= 1"):
+        cls(*[np.zeros(shape)] * n)
+
+
+@pytest.mark.parametrize("kind,cls", sorted(ATTACHMENTS.items()))
+def test_attachment_kinds_declare_only_fields(kind, cls):
+    # l and d come from the shared base, read off the fields.
+    assert issubclass(cls, Attachment) and "__post_init__" not in vars(cls)
+    att = cls(*[np.ones((2, 5))] * len(fields(cls)))
+    assert (att.l, att.d) == (2, 5)
+    assert list(vars(att)) == [f.name for f in fields(cls)]

@@ -47,6 +47,13 @@ DEFAULT_RUN_DIGESTS = {
     "prepend": "76464f548969bbfce6909357b2981cabc67b9bf08ea1d2882b607f5368be6b41",
 }
 
+# sha256 of the pool.json that `resadapt run --config configs/small.cfg`
+# writes: pins the pool codec's key order and bytes across commits.
+POOL_FILE_DIGESTS = {
+    "iki": "3f4aee605562b016620025a485936ae85f4aa81ec8107bfa3710aaafb758d7d0",
+    "prepend": "b6c5113c88d3d36feb83c97f01e2f49552a33284f4f1566dd37376f248c93759",
+}
+
 # sha256 of the stream.json that `resadapt run` writes (the same for every
 # mode), and that `gen-tasks` writes for the same spec: pins the version-1
 # stream layout, byte for byte, across commits.
@@ -448,8 +455,21 @@ def _set_gaussian(part, **fields):
     return mutate
 
 
+def _zero_rows(*names):
+    # Every attachment's named fields emptied to zero rows of the same width.
+    def mutate(doc):
+        for e in doc["entries"]:
+            for att in e["image_adapters"] + e["text_adapters"]:
+                for name in names:
+                    att[name].update(rows=0, data=[])
+    return mutate
+
+
+ZERO_ROWS = "must share one (l, d) shape with l >= 1, got"
+
 # Each mutation of a stored pool that loading used to accept, or died on
-# with a traceback: the entries no longer match the encoder record.
+# with a traceback: the entries no longer match the encoder record. A
+# "prepend-" mutation edits the prepend pool, every other the residual one.
 POOL_MUTATIONS = {
     "huge-embed-dim": (_set_encoder(embed_dim=2**70), "above the cap of 16777216"),
     "huge-depth": (_set_encoder(depth=10**9), "above the cap of 16777216"),
@@ -474,14 +494,19 @@ POOL_MUTATIONS = {
     "float-sigma-rows": (
         _set_gaussian("sigma", rows=8.0), "pool matrix rows needs an integer, got 8.0"
     ),
+    # Zero-row attachments: a residual pool died at inference with a
+    # softmax message, a prepend pool scored as the frozen model.
+    "zero-row-adapters": (_zero_rows("k_r", "v_r"), f"{ZERO_ROWS} [(0, 8), (0, 8)]"),
+    "prepend-zero-row-prompts": (_zero_rows("p"), f"{ZERO_ROWS} [(0, 8)]"),
 }
 
 
 class TestPoolBoundary:
     @pytest.mark.parametrize("name", sorted(POOL_MUTATIONS))
-    def test_mutated_pool_exits_2(self, tmp_path, stream_dir, pool_file, capsys, name):
+    def test_mutated_pool_exits_2(self, tmp_path, stream_dir, request, capsys, name):
         mutate, message = POOL_MUTATIONS[name]
-        doc = json.loads(pool_file.read_text())
+        source = "prepend_pool_file" if name.startswith("prepend-") else "pool_file"
+        doc = json.loads(request.getfixturevalue(source).read_text())
         mutate(doc)
         bad = tmp_path / "bad_pool.json"
         bad.write_text(json.dumps(doc))
@@ -540,6 +565,8 @@ class TestRun:
         assert main(["run", "--config", str(SMALL_CFG), "--mode", mode, "--out", str(out)]) == 0
         data = (out / "grid.csv").read_bytes() + (out / "summary.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == SMALL_RUN_DIGESTS[mode]
+        pool = (out / "pool.json").read_bytes()
+        assert hashlib.sha256(pool).hexdigest() == POOL_FILE_DIGESTS[mode]
 
     @pytest.mark.parametrize("mode", sorted(DEFAULT_RUN_DIGESTS))
     def test_default_config_outputs_pinned(self, default_run, mode):

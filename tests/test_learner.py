@@ -15,6 +15,7 @@ from resadapt.backbone import (
     encode_with_cache,
 )
 from resadapt import learner
+from resadapt.attention import Adapter, PromptBaseline
 from resadapt.bench.stream import StreamSpec, gen_stream
 from resadapt.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from resadapt.learner import (
@@ -689,6 +690,29 @@ class TestPrepend:
                 task.test_ids[:4], pool, task.class_templates, small_encoder, calibrate
             )
             assert np.all(wts == 1.0)
+
+
+class TestAttachments:
+    def test_rejects_a_non_attachment(self):
+        with pytest.raises(ContractError, match="unsupported attachment ndarray"):
+            AdapterSet(image_adapters=(np.zeros((2, 4)),), text_adapters=())
+
+    def test_rejects_mixed_shapes(self):
+        a = Adapter(k_r=np.zeros((2, 4)), v_r=np.zeros((2, 4)))
+        b = PromptBaseline(p=np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match=r"inconsistent attachment shapes \[\(2, 4\), \(3, 4\)\]"):
+            AdapterSet(image_adapters=(a,), text_adapters=(b,))
+
+    @pytest.mark.parametrize("kind", ["adapter", "prompt"])
+    def test_sgd_step_moves_every_field_against_its_gradient(self, kind):
+        rng = make_rng(4)
+        att = (Adapter(rng.normal(size=(2, 4)), rng.normal(size=(2, 4))) if kind == "adapter"
+               else PromptBaseline(rng.normal(size=(2, 4))))
+        grads = [rng.normal(size=(2, 4)) for _ in vars(att)]
+        (moved,) = learner._sgd_step([att], [grads], 0.5)
+        assert type(moved) is type(att)
+        for old, new, g in zip(vars(att).values(), vars(moved).values(), grads):
+            assert np.array_equal(new, old - 0.5 * g)
 
 
 class TestPoolIsolation:

@@ -145,6 +145,44 @@ class TestGeneration:
         assert far[1] - far[0] > near[1] - near[0]
 
 
+# From seq_len 9 on, every sample also draws tokens anywhere in its task's
+# window: at 16, two such free draws per sample.
+LONG = dataclasses.replace(SMALL, seq_len=16)
+
+
+class TestFreeWindowDraws:
+    def test_partition_has_two_free_draws(self):
+        assert _sample_counts(LONG.seq_len) == (5, 8, 1, 2)
+
+    def test_deterministic(self):
+        for a, b in zip(gen_stream(LONG), gen_stream(LONG)):
+            assert a.train_ids.tobytes() == b.train_ids.tobytes()
+            assert a.test_ids.tobytes() == b.test_ids.tobytes()
+            assert a.train_labels.tobytes() == b.train_labels.tobytes()
+            assert a.test_labels.tobytes() == b.test_labels.tobytes()
+
+    def test_ids_in_own_window_or_own_class_token(self):
+        base, starts, width = _windows(LONG)
+        for task in gen_stream(LONG):
+            lo = base + starts[task.index]
+            ids = np.vstack([task.train_ids, task.test_ids])
+            labels = np.concatenate([task.train_labels, task.test_labels])
+            assert ids.shape[1] == LONG.seq_len
+            outside = (ids < lo) | (ids >= lo + width)
+            own_token = ids == task.class_templates[labels, -1][:, None]
+            assert np.all(~outside | own_token)
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        stream = gen_stream(LONG)
+        path = tmp_path / "stream.json"
+        save_stream(LONG, stream, path)
+        spec2, stream2 = load_stream(path)
+        assert spec2 == LONG
+        for a, b in zip(stream, stream2):
+            for name in ("train_ids", "train_labels", "test_ids", "test_labels", "class_templates"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def _assignment_accuracy(stream, enc) -> float:
     """Held-out task assignment by per-task Gaussians fit on train features."""
     entries = [

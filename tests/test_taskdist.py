@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import multivariate_normal
 
-from resadapt.errors import ContractError
+from resadapt import taskdist
+from resadapt.errors import ContractError, SingularityError
 from resadapt.learner import AdapterSet, PoolEntry, TaskPool, route, score_entries
 from resadapt.numkernel import make_rng
 from resadapt.taskdist import (
@@ -71,12 +72,43 @@ def test_fit_population_not_sample_covariance():
     assert abs(g.sigma[0, 0] - 0.25) < 1e-11
 
 
-def test_fit_escalates_ridge_on_degenerate_data():
-    # 50 identical rows: zero covariance; tiny ridge may fail to factor
+def _picky_cholesky(monkeypatch, threshold: float) -> list:
+    """Make fit_gaussian's factorization refuse every ridge below threshold.
+
+    50 identical rows have zero covariance, so sigma is ridge * I and its
+    diagonal is the ridge tried. Returns the list of ridges tried.
+    """
+    tried = []
+    real = taskdist.cholesky_factor
+
+    def picky(sigma):
+        tried.append(float(sigma[0, 0]))
+        if sigma[0, 0] < threshold:
+            raise SingularityError(f"ridge {sigma[0, 0]} refused")
+        return real(sigma)
+
+    monkeypatch.setattr(taskdist, "cholesky_factor", picky)
+    return tried
+
+
+def test_fit_escalates_ridge_on_degenerate_data(monkeypatch):
+    tried = _picky_cholesky(monkeypatch, 5e-6)
     x = np.tile(np.arange(4.0), (50, 1))
     g = fit_gaussian(x, ridge=1e-7)
+    # 1e-7 and 1e-6 are refused; the recorded ridge is the first that factored.
+    assert len(tried) == 3 and tried[0] == 1e-7 and max(tried[:-1]) < 5e-6
+    assert g.ridge == tried[-1] == pytest.approx(1e-5)
+    assert np.array_equal(g.sigma, g.ridge * np.eye(4))
     assert 1e-7 <= g.ridge <= RIDGE_MAX
     assert np.isfinite(g.logdet)
+
+
+def test_fit_gives_up_at_ridge_max(monkeypatch):
+    tried = _picky_cholesky(monkeypatch, math.inf)
+    with pytest.raises(SingularityError):
+        fit_gaussian(np.tile(np.arange(4.0), (50, 1)), ridge=1e-7)
+    # 1e-7 up by factors of 10, the last try clamped to RIDGE_MAX.
+    assert len(tried) == 5 and tried[-1] == RIDGE_MAX and tried[-2] < RIDGE_MAX
 
 
 # ------------------------------------------------------------------ density
