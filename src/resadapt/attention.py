@@ -15,7 +15,10 @@ residual branch with V_r = 0 contributes an exactly-zero matrix, so a
 freshly initialized adapter leaves the layer output bit-identical to the
 frozen one at any weight w. Every forward takes a batch (B, L, d) of
 sequences, a single sequence being a batch of one; backward helpers return
-parameter gradients summed over the batch.
+parameter gradients summed over the batch. A batch may carry leading axes,
+(T, B, L, d), with attachments stacked as (T, 1, l, d): each of the T
+groups runs through its own attachment, and every product and sum is the
+per-group one, so each group gets the bits it would get alone.
 
 Neither branch changes the layer's frozen work (FrozenCache: the
 projection of the input rows, i.e. their q, k, v and the x-x score block,
@@ -68,24 +71,30 @@ class FrozenAttention:
 class Attachment:
     """Trainable rows on a frozen layer: every field (l, d), one shape, l >= 1.
 
-    A subclass declares only its fields, which every reader takes in
-    declaration order. Instances are immutable; training replaces them.
+    Fields may carry leading axes, (T, 1, l, d), for a stack of T
+    attachments that train in lockstep. A subclass declares only its
+    fields, which every reader takes in declaration order. Instances are
+    immutable; training replaces them.
     """
 
     def __post_init__(self):
         # vars() holds the fields in declaration order, cheaper than fields().
         shapes = [v.shape for v in vars(self).values()]
-        if len(shapes[0]) != 2 or shapes[0][0] < 1 or shapes.count(shapes[0]) != len(shapes):
+        if len(shapes[0]) < 2 or shapes[0][-2] < 1 or shapes.count(shapes[0]) != len(shapes):
             raise ShapeError(f"{type(self).__name__} fields must share one (l, d) shape "
                              f"with l >= 1, got {shapes}")
 
     @property
+    def shape(self) -> tuple:
+        return next(iter(vars(self).values())).shape
+
+    @property
     def l(self) -> int:
-        return next(iter(vars(self).values())).shape[0]
+        return self.shape[-2]
 
     @property
     def d(self) -> int:
-        return next(iter(vars(self).values())).shape[1]
+        return self.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -156,9 +165,14 @@ def init_adapter_ablation(l: int, d: int, bound: float, rng: np.random.Generator
 
 def _check_seq(x: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[-1] != d:
+    if x.ndim < 3 or x.shape[-1] != d:
         raise ShapeError(f"input must be (B, L, {d}), got {x.shape}")
     return x
+
+
+def _batch_sum(g: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """A per-sequence gradient (..., B, l, d) summed over the batch, shaped as field."""
+    return g.sum(axis=-3).reshape(field.shape)
 
 
 @dataclass
@@ -193,21 +207,20 @@ class FrozenCache(Projection):
     """A frozen forward over x: its projection plus attn and out = attn v."""
 
     attn: np.ndarray | None
-    out: np.ndarray
+    out: np.ndarray | None
 
     def take(self, idx: np.ndarray) -> "FrozenCache":
         """The batch rows idx of what a forward given this cache reads.
 
         A residual forward reads x, q and out, a prepend forward x, q, v and
-        scores. k and attn stay None, so the result serves a backward only
-        with input_grad=False, as layer 0 uses it.
+        scores; a field this cache does not hold stays None. k and attn stay
+        None, so the result serves a backward only with input_grad=False, as
+        layer 0 uses it.
         """
         # ndarray.take(idx, 0) copies the same rows as [idx], faster.
-        return FrozenCache(
-            x=self.x.take(idx, 0), p=self.p, q=self.q.take(idx, 0), k=None,
-            v=self.v.take(idx, 0), scores=self.scores.take(idx, 0), attn=None,
-            out=self.out.take(idx, 0),
-        )
+        held = {name: getattr(self, name) for name in ("x", "q", "v", "scores", "out")}
+        rows = {name: v if v is None else v.take(idx, 0) for name, v in held.items()}
+        return FrozenCache(p=self.p, k=None, attn=None, **rows)
 
 
 def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarray, FrozenCache]:
@@ -272,9 +285,9 @@ def residual_attn_with_cache(
     fc = frozen_attn_with_cache(x, p)[1] if frozen is None else frozen
     if a.d != p.d:
         raise ShapeError(f"adapter width {a.d} does not match layer width {p.d}")
-    w = _check_weight(w, fc.q.shape[0])
+    w = _check_weight(w, fc.q.shape[-3])
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
-    scores_r = (fc.q @ a.k_r.T) * inv_sqrt_d
+    scores_r = (fc.q @ np.swapaxes(a.k_r, -1, -2)) * inv_sqrt_d
     attn_r = softmax_rows(scores_r)
     out_r = attn_r @ a.v_r
     out = fc.out + w * out_r
@@ -296,10 +309,10 @@ def residual_attn_backward(
     a = cache.a
     inv_sqrt_d = 1.0 / np.sqrt(fc.p.d)
     wd = cache.w * d_out
-    d_v_r = (np.swapaxes(cache.attn_r, -1, -2) @ wd).sum(axis=0)
-    d_attn_r = wd @ a.v_r.T
+    d_v_r = _batch_sum(np.swapaxes(cache.attn_r, -1, -2) @ wd, a.v_r)
+    d_attn_r = wd @ np.swapaxes(a.v_r, -1, -2)
     d_scores_r = softmax_backward(cache.attn_r, d_attn_r)
-    d_k_r = (np.swapaxes(d_scores_r, -1, -2) @ fc.q).sum(axis=0) * inv_sqrt_d
+    d_k_r = _batch_sum(np.swapaxes(d_scores_r, -1, -2) @ fc.q, a.k_r) * inv_sqrt_d
     if not input_grad:
         return None, d_k_r, d_v_r
     d_q_r = (d_scores_r @ a.k_r) * inv_sqrt_d
@@ -317,10 +330,10 @@ class PrependCache:
 
 def _prepend_rows(head: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """[head; rows[b]] for every batch element b: (B, l + L, d) from (l, d) and (B, L, d)."""
-    l = head.shape[0]
-    out = np.empty((rows.shape[0], l + rows.shape[1], rows.shape[2]))
-    out[:, :l] = head
-    out[:, l:] = rows
+    l = head.shape[-2]
+    out = np.empty(rows.shape[:-2] + (l + rows.shape[-2], rows.shape[-1]))
+    out[..., :l, :] = head
+    out[..., l:, :] = rows
     return out
 
 
@@ -345,7 +358,7 @@ def prepend_attn_with_cache(
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
     k_p = prompt.p @ p.w_k + p.b_k
     v_p = prompt.p @ p.w_v + p.b_v
-    scores = np.concatenate([(pj.q @ k_p.T) * inv_sqrt_d, pj.scores], axis=-1)
+    scores = np.concatenate([(pj.q @ np.swapaxes(k_p, -1, -2)) * inv_sqrt_d, pj.scores], axis=-1)
     attn = softmax_rows(scores)
     v = _prepend_rows(v_p, pj.v)
     out = attn @ v
@@ -364,7 +377,7 @@ def prepend_attn_backward(
     """
     pj = cache.proj
     p = pj.p
-    l = cache.k_p.shape[0]
+    l = cache.k_p.shape[-2]
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
     d_attn = d_out @ np.swapaxes(cache.v, -1, -2)
     d_scores = softmax_backward(cache.attn, d_attn)
@@ -373,9 +386,9 @@ def prepend_attn_backward(
     keys = slice(None) if input_grad else slice(None, l)
     d_v = np.swapaxes(cache.attn[..., keys], -1, -2) @ d_out
     d_k = (np.swapaxes(d_scores[..., keys], -1, -2) @ pj.q) * inv_sqrt_d
-    d_prompt = (d_k[:, :l] @ p.w_k.T + d_v[:, :l] @ p.w_v.T).sum(axis=0)
+    d_prompt = _batch_sum(d_k[..., :l, :] @ p.w_k.T + d_v[..., :l, :] @ p.w_v.T, cache.k_p)
     if not input_grad:
         return None, d_prompt
     d_q = (d_scores @ _prepend_rows(cache.k_p, pj.k)) * inv_sqrt_d
-    d_x = d_q @ p.w_q.T + d_k[:, l:] @ p.w_k.T + d_v[:, l:] @ p.w_v.T
+    d_x = d_q @ p.w_q.T + d_k[..., l:, :] @ p.w_k.T + d_v[..., l:, :] @ p.w_v.T
     return d_x, d_prompt

@@ -168,10 +168,13 @@ def encode_with_cache(
 ) -> tuple[np.ndarray, EncodeCache]:
     """Forward pass keeping intermediates for the training backward.
 
-    layer0, if given, is layer0_cache(token_ids, stack) or its take() of
-    these rows: it replaces the embedding lookup and layer 0's frozen
-    forward, and the token ids are then not read again. Layer 0's forward,
-    residual or prompt, then runs over it without recomputing that work.
+    layer0, if given, is layer 0's frozen work over these token ids:
+    layer0_cache(token_ids, stack), its take() of these rows, or as much of
+    it as layer 0's attachment reads (training's lockstep step). It replaces
+    the embedding lookup and layer 0's frozen forward, and the token ids are
+    then not read again, so they may carry a leading task axis, (T, B, L),
+    as the cache's rows do. Layer 0's forward, residual or prompt, then runs
+    over it without recomputing that work.
     """
     if adapters is not None and len(adapters) > stack.depth:
         raise ShapeError(f"{len(adapters)} attachments for a depth-{stack.depth} stack")

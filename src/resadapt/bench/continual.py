@@ -2,11 +2,13 @@
 
 Tasks are learned in order. For task i the harness first computes frozen
 feature statistics, then trains the attachments and appends the immutable
-pool entry. train_pool stops there; run_continual then evaluates every
-task's test split with the pool as it stands, filling row i of the accuracy
-matrix. Entries for j <= i use learned adapters; entries for j > i measure
-what the partly-trained system does on data it has never seen (with
-calibration on, effectively the frozen model).
+pool entry. Consecutive tasks of one shape train in lockstep groups of up
+to MAX_GROUP, and a task's entry does not depend on its group. train_pool
+stops there; run_continual then evaluates every task's test split with the
+pool as it stands, filling row i of the accuracy matrix. Entries for j <= i
+use learned adapters; entries for j > i measure what the partly-trained
+system does on data it has never seen (with calibration on, effectively the
+frozen model).
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..backbone import DualEncoder, encode
-from ..errors import ConfigError, ContractError
+from ..errors import ConfigError, ContractError, DivergenceError
 from ..learner import (
     AdapterMode,
+    AdapterSet,
     InferState,
     PoolEntry,
     TaskPool,
@@ -30,6 +33,12 @@ from ..learner import (
 )
 from ..numkernel import make_rng
 from .stream import Task
+
+# Most tasks one lockstep group trains. Training speed stops improving at
+# four or five tasks, while every task past four adds about 2 MiB to the
+# peak memory of a 320-row task's training; five trains the five tasks of
+# configs/default.cfg as one group. See README's "Training cost".
+MAX_GROUP = 5
 
 
 def evaluate_task(
@@ -64,20 +73,47 @@ def _grow_pool(
     if not stream:
         raise ConfigError("empty task stream")
     pool = TaskPool(entries=[], kind=mode.mechanism)
-    for i, task in enumerate(stream):
+    for first, group in _groups(stream):
         # Statistics first, on the frozen encoder; training cannot bias them.
-        gaussian = estimate_task_stats(task.train_ids, enc, cfg.ridge)
-        adapters = train_task(
-            task.train_ids,
-            task.train_labels,
-            task.class_templates,
+        gaussians = [estimate_task_stats(task.train_ids, enc, cfg.ridge) for task in group]
+        for adapters, gaussian in zip(_train_group(group, first, enc, cfg, mode), gaussians):
+            pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
+            yield pool
+
+
+def _groups(stream: list[Task]) -> Iterator[tuple[int, list[Task]]]:
+    """Runs of at most MAX_GROUP consecutive tasks of one shape, with their first index."""
+    first = 0
+    for i in range(1, len(stream) + 1):
+        if i == len(stream) or i - first == MAX_GROUP or _shape(stream[i]) != _shape(stream[first]):
+            yield first, stream[first:i]
+            first = i
+
+
+def _shape(task: Task) -> tuple:
+    return task.train_ids.shape, task.class_templates.shape
+
+
+def _train_group(
+    group: list[Task], first: int, enc: DualEncoder, cfg: TrainConfig, mode: AdapterMode
+) -> list[AdapterSet]:
+    """Train stream tasks first, first + 1, ... in lockstep, task i on make_rng(cfg.seed, 23, i)."""
+    try:
+        return train_task(
+            np.stack([task.train_ids for task in group]),
+            np.stack([task.train_labels for task in group]),
+            np.stack([task.class_templates for task in group]),
             enc,
             cfg,
-            make_rng(cfg.seed, 23, i),
+            [make_rng(cfg.seed, 23, first + j) for j in range(len(group))],
             mode,
         )
-        pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
-        yield pool
+    except DivergenceError as exc:
+        # Trained alone, an earlier task of the group could diverge later
+        # than exc.step and would fail the run first: train those again.
+        if exc.task > 0:
+            _train_group(group[: exc.task], first, enc, cfg, mode)
+        raise DivergenceError(exc.step, first + exc.task) from None
 
 
 def train_pool(

@@ -18,8 +18,13 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss. Carries the failing step index."""
+    """Training produced a non-finite loss. Carries the failing step and task.
 
-    def __init__(self, step: int, message: str = ""):
+    task is the task's position in the group train_task trained; a run
+    names it by its index in the stream.
+    """
+
+    def __init__(self, step: int, task: int):
         self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
+        self.task = task
+        super().__init__(f"non-finite loss at step {step} of task {task}")

@@ -2,7 +2,8 @@
 
 Each incremental task trains one small attachment set (residual adapters,
 or prompts for the baseline) on the first layers of both frozen encoders,
-with plain SGD under a cosine learning-rate schedule. A task's statistics
+with plain SGD under a cosine learning-rate schedule. Tasks of one shape
+train in lockstep, one step advancing a whole group. A task's statistics
 (a Gaussian over its frozen features) are computed with the fully frozen
 encoder BEFORE any adapters exist, so they never drift. A task's pool entry
 (its attachments and its Gaussian) is immutable once stored: later training
@@ -12,14 +13,22 @@ cannot touch it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .attention import Attachment, PromptBaseline, init_adapter, init_adapter_ablation
+from .attention import (
+    Attachment,
+    FrozenCache,
+    PromptBaseline,
+    frozen_attn_with_cache,
+    init_adapter,
+    init_adapter_ablation,
+)
 from .backbone import (
     DualEncoder,
+    EncoderStack,
     class_embeddings,
     encode,
     encode_backward,
@@ -27,7 +36,7 @@ from .backbone import (
     layer0_cache,
 )
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
-from .numkernel import softmax_rows
+from .numkernel import row_max, softmax_rows
 from .taskdist import TaskGaussian, calibration_weight_batch, fit_gaussian, log_density_batch
 
 MODE_RESIDUAL = "iki"
@@ -102,8 +111,8 @@ class AdapterSet:
             for a in side:
                 if not isinstance(a, Attachment):
                     raise ContractError(f"unsupported attachment {type(a).__name__}")
-        shapes = {(a.l, a.d) for a in self.image_adapters + self.text_adapters}
-        if len(shapes) > 1:
+        shapes = {a.shape for a in self.image_adapters + self.text_adapters}
+        if len(shapes) > 1 or any(len(shape) != 2 for shape in shapes):
             raise ShapeError(f"inconsistent attachment shapes {sorted(shapes)}")
 
 
@@ -162,19 +171,85 @@ def _sgd_step(attachments: list, grads: list, lr: float) -> list:
     ]
 
 
-def batch_cross_entropy(logit_rows: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a (B, K) logit block and its gradient."""
+def _stack(per_task: list[list]) -> list:
+    """Per layer, the tasks' attachments as one with fields (T, 1, l, d)."""
+    return [
+        type(layer[0])(*(np.stack(vs)[:, None] for vs in zip(*(vars(a).values() for a in layer))))
+        for layer in zip(*per_task)
+    ]
+
+
+def _unstack(stacked: list, t: int) -> tuple:
+    """Task t's (l, d) attachments out of stacked ones."""
+    return tuple(type(a)(*(v[t, 0] for v in vars(a).values())) for a in stacked)
+
+
+def batch_cross_entropy(logit_rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy of each (B, K) logit block of (..., B, K), and its gradient.
+
+    The loss has the leading shape: a float for one (B, K) block.
+    """
     z = np.asarray(logit_rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    b, k = z.shape
-    if labels.shape != (b,) or np.any(labels < 0) or np.any(labels >= k):
+    if z.ndim < 2 or labels.shape != z.shape[:-1] or np.any(labels < 0) or np.any(labels >= z.shape[-1]):
         raise IndexError("labels out of range for logit block")
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    loss = float((lse - z[np.arange(b), labels]).mean())
+    b, k = z.shape[-2:]
+    m = row_max(z)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    picked = np.take_along_axis(z, labels[..., None], -1)[..., 0]
+    loss = (lse - picked).mean(axis=-1)
     grad = softmax_rows(z)
-    grad[np.arange(b), labels] -= 1.0
+    grad.reshape(-1, k)[np.arange(labels.size), labels.reshape(-1)] -= 1.0
     return loss, grad / b
+
+
+# Rows of layer 0's frozen forward computed at once while a group's cache
+# is built: bounds that forward's cache and temporaries (about 20 kB a row
+# at d = 32, L = 8) whatever the group's size.
+LAYER0_CHUNK = 128
+
+# What a step's layer-0 forward reads of the frozen work besides the rows'
+# inputs and queries, which it recomputes: a residual adapter adds to the
+# frozen output, a prompt attends over the rows' values and scores.
+LAYER0_KEPT = {"residual": ("out",), "prepend": ("v", "scores")}
+
+
+def _layer0_kept(ids: np.ndarray, stack: EncoderStack, names: tuple) -> FrozenCache:
+    """Layer 0's frozen forward over (R, L) token ids holding only the fields names.
+
+    Built in row chunks into one array per field.
+    """
+    kept = dict.fromkeys(("x", "q", "k", "v", "scores", "attn", "out"))
+    for start in range(0, len(ids), LAYER0_CHUNK):
+        chunk = layer0_cache(ids[start : start + LAYER0_CHUNK], stack)
+        for name in names:
+            value = getattr(chunk, name)
+            if kept[name] is None:
+                kept[name] = np.empty((len(ids),) + value.shape[1:])
+            kept[name][start : start + len(value)] = value
+        del chunk, value  # before the next chunk's forward allocates its own
+    return FrozenCache(p=stack.layers[0], **kept)
+
+
+def _step_grads(step, ids, img0, labels, img_att, templates, txt0, txt_att, enc, logit_scale):
+    """Both towers' attachment gradients at one lockstep step over (T, B, L) batch ids.
+
+    img0 is the batch rows of the group's kept layer-0 work; the rows'
+    inputs and queries are recomputed here. The step's caches are freed
+    when this returns, before the next step builds its own.
+    """
+    x = enc.image.embed.take(ids, 0)
+    img0 = replace(img0, x=x, q=x @ img0.p.w_q + img0.p.b_q)
+    img_feats, img_cache = encode_with_cache(ids, enc.image, img_att, 1.0, img0)
+    txt_feats, txt_cache = encode_with_cache(templates, enc.text, txt_att, 1.0, txt0)
+    logit_block = logit_scale * (img_feats @ np.swapaxes(txt_feats, -1, -2))
+    loss, d_logits = batch_cross_entropy(logit_block, labels)
+    diverged = ~np.isfinite(loss)
+    if np.any(diverged):
+        raise DivergenceError(step, int(np.argmax(diverged)))
+    d_img = logit_scale * (d_logits @ txt_feats)
+    d_txt = logit_scale * (np.swapaxes(d_logits, -1, -2) @ img_feats)
+    return encode_backward(img_cache, d_img), encode_backward(txt_cache, d_txt)
 
 
 def train_task(
@@ -183,62 +258,84 @@ def train_task(
     class_templates: np.ndarray,
     enc: DualEncoder,
     cfg: TrainConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     mode: AdapterMode = AdapterMode(),
-) -> AdapterSet:
-    """Train one task's attachments on both encoders; returns them frozen.
+) -> list[AdapterSet]:
+    """Train a group of T tasks' attachments in lockstep; returns them frozen, one set per task.
 
-    class_templates holds one token row per class, (K, L). Both encoders
-    stay fixed; only the attachments move. Images and class templates are
-    encoded with the residual weight pinned at 1 (calibration is an
-    inference-time mechanism). Zero epochs returns the untouched fresh
-    initialization.
+    train_ids is (T, n, L), train_labels (T, n) and class_templates one
+    token row per class, (T, K, L); rngs holds one generator per task. Both
+    encoders stay fixed; only the attachments move. Images and class
+    templates are encoded with the residual weight pinned at 1 (calibration
+    is an inference-time mechanism). Zero epochs returns the untouched fresh
+    initializations.
+
+    Each task draws its initialization and its permutations from its own
+    generator, and one step advances every task by one batch: the
+    attachments are stacked as (T, 1, l, d) against (T, B, L, d) batches,
+    every product is the per-task one, and gradients are summed over each
+    task's batch only. So a task's attachments are bit-identical to
+    training it in a group of one. A task of T = 1 is such a group.
 
     Layer 0 reads only frozen embeddings, and neither branch changes its
-    frozen forward: a residual adapter adds to its output, a prompt attends
-    over its projection of the input rows. That forward over every
-    training row and every template is computed once per task; each step
-    takes its batch's rows and passes them to layer 0's branch forward.
+    frozen forward, so that forward runs once per group over every
+    training row. The group keeps only what its branch reads besides the
+    rows' inputs and queries (LAYER0_KEPT): the frozen output, to which a
+    residual adapter adds, or the values and scores a prompt attends over.
+    A step takes its batch's rows of those and recomputes the inputs and
+    queries. The templates' whole layer-0 forward is kept.
+
+    Raises DivergenceError at the first step whose loss is not finite for
+    some task, naming the first such task by its position in the group.
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
-    n = train_ids.shape[0]
-    k = len(class_templates)
-    if train_labels.shape != (n,):
-        raise ShapeError("one label per training sequence required")
-    if np.any(train_labels < 0) or np.any(train_labels >= k):
+    class_templates = np.asarray(class_templates, dtype=np.int64)
+    if train_ids.ndim != 3 or class_templates.ndim != 3 or 0 in train_ids.shape:
+        raise ShapeError("a group's ids must be (T, n, L) and its templates (T, K, L)")
+    t, n, seq_len = train_ids.shape
+    if train_labels.shape != (t, n) or len(class_templates) != t or len(rngs) != t:
+        raise ShapeError("one label per training sequence, and templates and an rng per task, required")
+    if np.any(train_labels < 0) or np.any(train_labels >= class_templates.shape[1]):
         raise IndexError("training label out of class range")
+    for ids, stack in ((train_ids, enc.image), (class_templates, enc.text)):
+        if np.any(ids < 0) or np.any(ids >= stack.vocab):
+            raise IndexError(f"token id outside [0, {stack.vocab})")
     if cfg.adapter_depth > enc.image.depth:
         raise ConfigError(
             f"adapter_depth {cfg.adapter_depth} exceeds encoder depth {enc.image.depth}"
         )
-    img_att = _init_attachments(mode, cfg, enc.image.d, rng)
-    txt_att = _init_attachments(mode, cfg, enc.text.d, rng)
-    steps_per_epoch = max(1, math.ceil(n / cfg.batch))
-    total_steps = cfg.epochs * steps_per_epoch
+    per_task = [
+        (_init_attachments(mode, cfg, enc.image.d, rng), _init_attachments(mode, cfg, enc.text.d, rng))
+        for rng in rngs
+    ]
+    img_att = _stack([img for img, _ in per_task])
+    txt_att = _stack([txt for _, txt in per_task])
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch)
     if cfg.epochs > 0:
-        img0 = layer0_cache(train_ids, enc.image)
-        txt0 = layer0_cache(class_templates, enc.text)
+        # Rows of all tasks in one (T n, ...) block; task i's row r is i n + r.
+        flat_ids = train_ids.reshape(t * n, seq_len)
+        flat_labels = train_labels.reshape(t * n)
+        img0 = _layer0_kept(flat_ids, enc.image, LAYER0_KEPT[mode.mechanism])
+        txt0 = frozen_attn_with_cache(enc.text.embed[class_templates], enc.text.layers[0])[1]
+        offsets = np.arange(t)[:, None] * n
     step = 0
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
+        perm = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, cfg.batch):
-            idx = perm[start : start + cfg.batch]
+            rows = perm[:, start : start + cfg.batch]
             lr = cosine_lr(step, total_steps, cfg.lr0)
-            img_feats, img_cache = encode_with_cache(
-                train_ids[idx], enc.image, img_att, 1.0, img0.take(idx)
+            img_grads, txt_grads = _step_grads(
+                step, flat_ids.take(rows, 0), img0.take(rows),
+                flat_labels.take(rows), img_att, class_templates, txt0, txt_att, enc, cfg.logit_scale,
             )
-            txt_feats, txt_cache = encode_with_cache(class_templates, enc.text, txt_att, 1.0, txt0)
-            logit_block = cfg.logit_scale * (img_feats @ txt_feats.T)
-            loss, d_logits = batch_cross_entropy(logit_block, train_labels[idx])
-            if not math.isfinite(loss):
-                raise DivergenceError(step)
-            d_img = cfg.logit_scale * (d_logits @ txt_feats)
-            d_txt = cfg.logit_scale * (d_logits.T @ img_feats)
-            img_att = _sgd_step(img_att, encode_backward(img_cache, d_img), lr)
-            txt_att = _sgd_step(txt_att, encode_backward(txt_cache, d_txt), lr)
+            img_att = _sgd_step(img_att, img_grads, lr)
+            txt_att = _sgd_step(txt_att, txt_grads, lr)
             step += 1
-    return AdapterSet(image_adapters=tuple(img_att), text_adapters=tuple(txt_att))
+    return [
+        AdapterSet(image_adapters=_unstack(img_att, i), text_adapters=_unstack(txt_att, i))
+        for i in range(t)
+    ]
 
 
 def score_entries(frozen_feats: np.ndarray, entries: Sequence[PoolEntry]) -> np.ndarray:

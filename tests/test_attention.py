@@ -97,10 +97,11 @@ def test_frozen_shape_mismatch():
         frozen(np.zeros((1, 2, 5)), p)
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (1, 1, 3, 4)])
+@pytest.mark.parametrize("shape", [(3, 4), (4,)])
 @pytest.mark.parametrize("branch", ["frozen", "residual", "prepend"])
 def test_input_must_be_a_batch(shape, branch):
-    # A single sequence is a batch of one: (1, L, d), not (L, d).
+    # A single sequence is a batch of one: (1, L, d), not (L, d). Leading
+    # task axes, (T, B, L, d), are allowed (test_task_axis_*).
     rng = make_rng(3)
     p = random_frozen_attention(4, rng)
     x = rng.normal(size=shape)
@@ -540,9 +541,10 @@ def test_adapter_construction_validates_shapes():
 
 
 @pytest.mark.parametrize("cls", [Adapter, PromptBaseline])
-@pytest.mark.parametrize("shape", [(0, 3), (3,), (1, 2, 3)])
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 0, 3)])
 def test_attachment_fields_must_be_nonempty_rows(cls, shape):
-    # One shape rule for every kind: each field (l, d) with l >= 1.
+    # One shape rule for every kind: each field (l, d) with l >= 1, also
+    # in a stack of attachments (T, l, d).
     n = len(fields(cls))
     with pytest.raises(ShapeError, match=r"must share one \(l, d\) shape with l >= 1"):
         cls(*[np.zeros(shape)] * n)
@@ -555,3 +557,57 @@ def test_attachment_kinds_declare_only_fields(kind, cls):
     att = cls(*[np.ones((2, 5))] * len(fields(cls)))
     assert (att.l, att.d) == (2, 5)
     assert list(vars(att)) == [f.name for f in fields(cls)]
+
+
+# ---------------------------------------------------------------- task axis
+# Lockstep training stacks T tasks' batches as (T, B, L, d) and their
+# attachments as (T, 1, l, d). Each task must get exactly the bits it gets
+# alone: every product is per task, and parameter gradients sum over each
+# task's own batch.
+
+
+def _stacked(atts):
+    return type(atts[0])(*(np.stack(vs)[:, None] for vs in zip(*(vars(a).values() for a in atts))))
+
+
+@pytest.mark.parametrize("branch", ["frozen", "residual", "prepend"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_task_axis_equals_each_task_alone(branch, input_grad):
+    rng = make_rng(31)
+    t, b, length, d, l = 3, 5, 6, 4, 2
+    p = random_frozen_attention(d, rng)
+    x = rng.normal(size=(t, b, length, d))
+    d_out = rng.normal(size=x.shape)
+    if branch == "prepend":
+        atts = [PromptBaseline(rng.normal(size=(l, d))) for _ in range(t)]
+    else:
+        atts = [init_adapter_ablation(l, d, 0.5, rng) for _ in range(t)]
+
+    def run(x, att, d_out):
+        """The branch's output and every gradient it returns."""
+        if branch == "frozen":
+            out, cache = frozen_attn_with_cache(x, p)
+            return out, [frozen_attn_backward(cache, d_out)]
+        if branch == "residual":
+            out, cache = residual_attn_with_cache(x, p, att, 1.0)
+            grads = residual_attn_backward(cache, d_out, input_grad)
+        else:
+            out, cache = prepend_attn_with_cache(x, p, att)
+            grads = prepend_attn_backward(cache, d_out, input_grad)
+        return out, [g for g in grads if g is not None]
+
+    whole_out, whole_grads = run(x, _stacked(atts), d_out)
+    for i in range(t):
+        out, grads = run(x[i], atts[i], d_out[i])
+        assert whole_out[i].tobytes() == out.tobytes()
+        for whole, alone in zip(whole_grads, grads, strict=True):
+            if whole.shape == x.shape:  # an input gradient
+                assert whole[i].tobytes() == alone.tobytes()
+            else:  # a parameter gradient, shaped as its stacked field
+                assert whole.shape == (t, 1, l, d)
+                assert whole[i, 0].tobytes() == alone.tobytes()
+
+
+def test_task_axis_attachment_shape_is_the_last_two_axes():
+    a = _stacked([init_adapter(2, 4, 0.1, make_rng(s)) for s in range(3)])
+    assert a.shape == (3, 1, 2, 4) and (a.l, a.d) == (2, 4)

@@ -7,8 +7,9 @@ training batch. A library change that renames, deletes, reorders or
 narrows any of these breaks the benchmark; these tests catch it in the
 tier-1 suite. The
 tracer's hooks also read arguments: the row count of encode_with_cache is
-the length of its first argument, and one batch_cross_entropy call counts
-one SGD step, so a traced run checks both. These tests only
+the length of its first argument (in training, the tasks of a lockstep
+group), and one batch_cross_entropy call counts one SGD step of a group, so
+a traced run checks both. These tests only
 read perfbench/, and compile tracer.py from its source so no bytecode cache
 is written there.
 """
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import resadapt.bench.continual as continual
+from resadapt.bench.continual import MAX_GROUP
 from resadapt import attention, backbone, learner, taskdist
 from resadapt.backbone import EncoderSpec
 from resadapt.bench.config import load_config
@@ -71,24 +73,31 @@ def test_positional_calls_as_the_benchmark_makes_them(small_encoder):
 
 @pytest.mark.parametrize("mode", ["iki", "prepend"])
 def test_traced_run_counts_every_step(tracer, small_encoder, mode):
-    spec = StreamSpec(num_tasks=2, classes_per_task=2, samples_per_class=20, vocab=64)
+    # Tasks of one shape train in lockstep groups of up to MAX_GROUP: one
+    # step, one batch_cross_entropy call, advances the whole group. The
+    # tracer's row counters read an argument's leading axis, which in
+    # training is the task axis: they count a group's tasks, not its rows.
+    spec = StreamSpec(num_tasks=MAX_GROUP + 2, classes_per_task=2, samples_per_class=20, vocab=64)
     stream = gen_stream(spec)
     cfg = TrainConfig(epochs=2, batch=12, prompt_len=4, adapter_depth=2)
     tr = tracer.Tracer()
     with tr.installed():
         # Through the module, whose name the tracer has replaced.
         matrix, _ = continual.run_continual(stream, small_encoder, cfg, True, mode)
-    assert matrix.shape == (2, 2)
+    assert matrix.shape == (spec.num_tasks, spec.num_tasks)
     n_train = len(stream[0].train_labels)
-    steps = spec.num_tasks * cfg.epochs * math.ceil(n_train / cfg.batch)
+    groups = [MAX_GROUP, 2]
+    steps = len(groups) * cfg.epochs * math.ceil(n_train / cfg.batch)
+    assert tr.calls["learner.train_task"] == len(groups)
     assert tr.counters["learner.train_task.steps"] == steps
     assert tr.calls["learner.batch_cross_entropy"] == steps
-    # Training encodes one image batch and the templates per step, so every
-    # training row once per epoch; every other encode_with_cache is encode's.
+    # Training encodes one image batch and the templates per step, each
+    # (T, ...) for a group of T; every other encode_with_cache is encode's.
     train_calls = tr.calls["backbone.encode_with_cache"] - tr.calls["backbone.encode"]
     train_rows = tr.rows["backbone.encode_with_cache"] - tr.rows["backbone.encode"]
     assert train_calls == 2 * steps
-    assert train_rows == spec.num_tasks * cfg.epochs * n_train + steps * spec.classes_per_task
+    assert train_rows == 2 * cfg.epochs * math.ceil(n_train / cfg.batch) * sum(groups)
+    assert tr.rows["learner.batch_cross_entropy"] == train_rows // 2
     # Each step runs one branch backward per layer per tower. Both branches
     # stop at layer 0 without its input gradient; a prompt's backward holds
     # its own frozen part, a residual one calls the frozen backward on layer
@@ -103,22 +112,33 @@ def test_traced_run_counts_every_step(tracer, small_encoder, mode):
 
 @pytest.mark.parametrize("mode", ["iki", "prepend"])
 def test_traced_training_runs_one_forward_per_backward(tracer, small_encoder, mode):
-    # Every training step runs its branch's forward on each layer of each
-    # tower, layer 0 over the task's frozen cache included, so the per-layer
-    # split sees every forward whose backward it counts.
-    spec = StreamSpec(num_tasks=2, classes_per_task=2, samples_per_class=20, vocab=64)
+    # Every lockstep step runs its branch's forward on each layer of each
+    # tower, layer 0 over the group's kept frozen work included, so the
+    # per-layer split sees every forward whose backward it counts. Layer 0's
+    # frozen forward runs once per group over the training rows, in chunks
+    # of LAYER0_CHUNK, and once over the templates; a residual step runs
+    # layer 1's frozen forward in both towers.
+    spec = StreamSpec(num_tasks=MAX_GROUP + 2, classes_per_task=2, samples_per_class=20, vocab=64)
     stream = gen_stream(spec)
     cfg = TrainConfig(epochs=2, batch=12, prompt_len=4, adapter_depth=2)
     tr = tracer.Tracer()
     with tr.installed():
         continual.train_pool(stream, small_encoder, cfg, mode)
+    n_train = len(stream[0].train_labels)
+    groups = [MAX_GROUP, 2]
     steps = tr.counters["learner.train_task.steps"]
-    assert steps == spec.num_tasks * cfg.epochs * math.ceil(len(stream[0].train_labels) / cfg.batch)
+    assert steps == len(groups) * cfg.epochs * math.ceil(n_train / cfg.batch)
     branch = "prepend" if mode == "prepend" else "residual"
     other = "residual" if mode == "prepend" else "prepend"
     assert tr.calls[f"attention.{branch}_attn_with_cache"] == 4 * steps
     assert tr.calls[f"attention.{branch}_attn_backward"] == 4 * steps
     assert tr.calls[f"attention.{other}_attn_with_cache"] == 0
+    # Statistics encode each task with the bare encoder: one frozen forward
+    # per layer.
+    stats = spec.num_tasks * small_encoder.image.depth
+    per_group = sum(math.ceil(t * n_train / learner.LAYER0_CHUNK) + 1 for t in groups)
+    frozen_per_step = 0 if mode == "prepend" else 2
+    assert tr.calls["attention.frozen_attn_with_cache"] == stats + per_group + frozen_per_step * steps
 
 
 def test_op_probe_calls_on_its_shapes():

@@ -1,12 +1,15 @@
 """Incremental harness: matrix filling, stability, and manual weight dial."""
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resadapt.bench.continual as continual
 from resadapt.bench.continual import (
+    MAX_GROUP,
     assignment_accuracy,
     evaluate_task,
     manual_weight_sweep,
@@ -16,9 +19,10 @@ from resadapt.bench.continual import (
 )
 from resadapt.bench.config import load_config
 from resadapt.bench.stream import StreamSpec, gen_stream
-from resadapt.errors import ConfigError, ContractError
+from resadapt.errors import ConfigError, ContractError, DivergenceError
 from resadapt.backbone import class_embeddings, encode
-from resadapt.learner import InferState, TaskPool, TrainConfig, infer_batch
+from resadapt.learner import InferState, TaskPool, TrainConfig, infer_batch, train_task
+from resadapt.numkernel import make_rng
 
 CFG = TrainConfig(lr0=5.0, epochs=2, batch=16, prompt_len=4, adapter_depth=2, seed=0)
 
@@ -139,6 +143,95 @@ class TestRunContinual:
         matrix, pool = run_continual(small_stream, small_encoder, CFG, mode="prepend")
         assert pool.kind == "prepend"
         assert matrix.shape == (2, 2)
+
+
+def _trimmed(task, rows):
+    """task without its last `rows` training sequences."""
+    return dataclasses.replace(
+        task, train_ids=task.train_ids[:-rows], train_labels=task.train_labels[:-rows]
+    )
+
+
+class TestLockstepGroups:
+    def test_groups_split_on_shape_and_at_the_bound(self):
+        # Task 2 is shorter than its neighbours, so it trains alone; the
+        # next run of equal tasks is cut at MAX_GROUP.
+        stream = gen_stream(
+            StreamSpec(num_tasks=MAX_GROUP + 4, classes_per_task=2, samples_per_class=5, vocab=128)
+        )
+        stream[2] = _trimmed(stream[2], 1)
+        groups = [(first, [t.index for t in group]) for first, group in continual._groups(stream)]
+        assert groups == [
+            (0, [0, 1]), (2, [2]), (3, list(range(3, 3 + MAX_GROUP))), (3 + MAX_GROUP, [3 + MAX_GROUP]),
+        ]
+
+    @pytest.mark.parametrize("mode", ["iki", "prepend"])
+    def test_unequal_train_sizes_train_as_alone(self, small_encoder, monkeypatch, mode):
+        # Four tasks, the second shorter: groups of one, one and two. Every
+        # entry equals its task trained alone on the stream's rng,
+        # make_rng(seed, 23, i).
+        stream = gen_stream(
+            StreamSpec(num_tasks=4, classes_per_task=2, samples_per_class=20, vocab=64)
+        )
+        stream[1] = _trimmed(stream[1], 5)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return train_task(*args, **kwargs)
+
+        monkeypatch.setattr(continual, "train_task", counted)
+        pool = train_pool(stream, small_encoder, CFG, mode)
+        assert calls == [1, 1, 2]
+        for i, (task, entry) in enumerate(zip(stream, pool.entries)):
+            (alone,) = train_task(
+                task.train_ids[None], task.train_labels[None], task.class_templates[None],
+                small_encoder, CFG, [make_rng(CFG.seed, 23, i)], continual.AdapterMode.parse(mode),
+            )
+            for got, want in zip(entry.adapters.image_adapters + entry.adapters.text_adapters,
+                                 alone.image_adapters + alone.text_adapters, strict=True):
+                assert [v.tobytes() for v in vars(got).values()] == [
+                    v.tobytes() for v in vars(want).values()
+                ]
+
+    def test_divergence_names_the_stream_index(self, small_encoder):
+        # Batches of 12: task 0, cut to 12 rows, makes one step per epoch
+        # and ends before a loss goes NaN; task 1, 16 rows, trains in its
+        # own group and its step 1 is NaN.
+        stream = gen_stream(
+            StreamSpec(num_tasks=2, classes_per_task=2, samples_per_class=10, vocab=64)
+        )
+        stream[0] = _trimmed(stream[0], 4)
+        cfg = TrainConfig(lr0=1e300, epochs=1, batch=12)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            train_pool(stream, small_encoder, cfg)
+        assert (exc.value.step, exc.value.task) == (1, 1)
+        assert "non-finite loss at step 1 of task 1" in str(exc.value)
+
+    @pytest.mark.parametrize("prefix_diverges", [False, True])
+    def test_divergence_reported_as_training_each_task_alone(
+        self, small_stream, small_encoder, monkeypatch, prefix_diverges
+    ):
+        # In a group of three, task 2 diverges at step 3. Trained alone,
+        # task 0 or 1 might diverge later than that and stop the run first,
+        # so tasks 0 and 1 train again; the error names task 2 unless one of
+        # them fails (here task 1, at step 7).
+        stream = [small_stream[0]] * 3
+        groups = []
+
+        def fake(ids, labels, templates, enc, cfg, rngs, mode):
+            groups.append(len(ids))
+            if len(ids) == 3:
+                raise DivergenceError(3, 2)
+            if prefix_diverges and len(ids) == 2:
+                raise DivergenceError(7, 1)
+            return [None] * len(ids)
+
+        monkeypatch.setattr(continual, "train_task", fake)
+        with pytest.raises(DivergenceError) as exc:
+            train_pool(stream, small_encoder, CFG)
+        assert groups == ([3, 2, 1] if prefix_diverges else [3, 2])
+        assert (exc.value.step, exc.value.task) == ((7, 1) if prefix_diverges else (3, 2))
 
 
 @pytest.fixture(scope="module")

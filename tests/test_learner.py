@@ -41,6 +41,14 @@ SMALL_CFG = TrainConfig(
 )
 
 
+def train_one(train_ids, train_labels, class_templates, enc, cfg, rng, mode=AdapterMode()):
+    """train_task on one task: a group of one."""
+    return train_task(
+        np.asarray(train_ids)[None], np.asarray(train_labels)[None],
+        np.asarray(class_templates)[None], enc, cfg, [rng], mode,
+    )[0]
+
+
 def _zero_shot(rows, classes, enc) -> np.ndarray:
     """Frozen-model oracle, one row at a time: no pool, no adapters."""
     text = class_embeddings(classes, enc.text)
@@ -94,7 +102,7 @@ def small_stream():
 def trained(small_stream, small_encoder):
     """One trained task plus its pool entry, reused across read-only tests."""
     task = small_stream[0]
-    adapters = train_task(
+    adapters = train_one(
         task.train_ids,
         task.train_labels,
         task.class_templates,
@@ -110,7 +118,7 @@ def trained(small_stream, small_encoder):
 def trained_prepend(small_stream, small_encoder):
     """The first task trained as a prompt (prepend) entry."""
     task = small_stream[0]
-    adapters = train_task(
+    adapters = train_one(
         task.train_ids,
         task.train_labels,
         task.class_templates,
@@ -226,7 +234,7 @@ class TestTrainTask:
         # Untrained zero-init attachments must leave the encoder untouched.
         task = small_stream[0]
         cfg = dataclasses.replace(SMALL_CFG, epochs=0)
-        adapters = train_task(
+        adapters = train_one(
             task.train_ids,
             task.train_labels,
             task.class_templates,
@@ -245,7 +253,7 @@ class TestTrainTask:
     def test_deterministic_given_seed(self, small_stream, small_encoder):
         task = small_stream[0]
         runs = [
-            train_task(
+            train_one(
                 task.train_ids,
                 task.train_labels,
                 task.class_templates,
@@ -260,7 +268,7 @@ class TestTrainTask:
     def test_different_seed_differs(self, small_stream, small_encoder):
         task = small_stream[0]
         a, b = (
-            train_task(
+            train_one(
                 task.train_ids,
                 task.train_labels,
                 task.class_templates,
@@ -288,7 +296,7 @@ class TestTrainTask:
     def test_label_shape_rejected(self, small_stream, small_encoder):
         task = small_stream[0]
         with pytest.raises(ShapeError):
-            train_task(
+            train_one(
                 task.train_ids,
                 task.train_labels[:-1],
                 task.class_templates,
@@ -302,7 +310,7 @@ class TestTrainTask:
         bad = task.train_labels.copy()
         bad[0] = len(task.class_templates)
         with pytest.raises(IndexError):
-            train_task(
+            train_one(
                 task.train_ids,
                 bad,
                 task.class_templates,
@@ -315,7 +323,7 @@ class TestTrainTask:
         task = small_stream[0]
         cfg = dataclasses.replace(SMALL_CFG, adapter_depth=small_encoder.image.depth + 1)
         with pytest.raises(ConfigError):
-            train_task(
+            train_one(
                 task.train_ids,
                 task.train_labels,
                 task.class_templates,
@@ -331,13 +339,13 @@ class TestTrainTask:
     def test_equals_training_that_encodes_every_step_from_ids(
         self, small_stream, small_encoder, mode_text, adapter_depth
     ):
-        # train_task computes layer 0 once per task; the oracle below is the
-        # same loop encoding every batch from its token ids. 32 rows in
-        # batches of 12 leave a short last batch.
+        # train_task keeps layer 0's frozen work once per group; the oracle
+        # below is the same loop over one task, encoding every batch from its
+        # token ids. 32 rows in batches of 12 leave a short last batch.
         task = small_stream[0]
         cfg = dataclasses.replace(SMALL_CFG, batch=12, adapter_depth=adapter_depth)
         mode = AdapterMode.parse(mode_text)
-        got = train_task(
+        got = train_one(
             task.train_ids, task.train_labels, task.class_templates, small_encoder, cfg,
             make_rng(4, 7, 0), mode,
         )
@@ -374,11 +382,81 @@ class TestTrainTask:
         task = stream[0]
         cfg = TrainConfig(lr0=1e300, epochs=2, batch=64)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
-            train_task(
+            train_one(
                 task.train_ids, task.train_labels, task.class_templates, small_encoder, cfg,
                 make_rng(0, 23, 0),
             )
-        assert exc.value.step == 1
+        assert exc.value.step == 1 and exc.value.task == 0
+
+
+def _group(tasks):
+    """A group's stacked (ids, labels, templates)."""
+    return tuple(np.stack([getattr(t, f) for t in tasks])
+                 for f in ("train_ids", "train_labels", "class_templates"))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("mode_text", ["iki", "iki-ablation:0.3", "prepend"])
+    @pytest.mark.parametrize("adapter_depth", [1, 2])
+    def test_group_equals_each_task_alone(self, small_encoder, mode_text, adapter_depth):
+        # Three tasks of 32 rows in batches of 12, so the last batch is
+        # short. Each task's attachments equal a group of one's, byte for
+        # byte; test_equals_training_that_encodes_every_step_from_ids ties a
+        # group of one to the plain per-task loop.
+        stream = gen_stream(
+            StreamSpec(num_tasks=3, classes_per_task=2, samples_per_class=20, vocab=64)
+        )
+        cfg = dataclasses.replace(SMALL_CFG, batch=12, adapter_depth=adapter_depth)
+        mode = AdapterMode.parse(mode_text)
+        group = train_task(
+            *_group(stream), small_encoder, cfg, [make_rng(5, 7, t.index) for t in stream], mode
+        )
+        assert len(group) == len(stream)
+        for task, got in zip(stream, group):
+            want = train_one(
+                task.train_ids, task.train_labels, task.class_templates, small_encoder, cfg,
+                make_rng(5, 7, task.index), mode,
+            )
+            assert _adapter_bytes(got) == _adapter_bytes(want)
+            for att in got.image_adapters + got.text_adapters:
+                assert att.shape == (cfg.prompt_len, small_encoder.image.d)
+
+    def test_order_within_a_group_does_not_matter(self, small_stream, small_encoder):
+        rngs = lambda order: [make_rng(0, 7, i) for i in order]
+        forward = train_task(*_group(small_stream), small_encoder, SMALL_CFG, rngs([0, 1]))
+        backward = train_task(
+            *_group(small_stream[::-1]), small_encoder, SMALL_CFG, rngs([1, 0])
+        )
+        assert _adapter_bytes(forward[0]) == _adapter_bytes(backward[1])
+        assert _adapter_bytes(forward[1]) == _adapter_bytes(backward[0])
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [
+            (lambda ids, labels, tpl, rngs: (ids[0], labels, tpl, rngs), ShapeError),
+            (lambda ids, labels, tpl, rngs: (ids, labels[:, :-1], tpl, rngs), ShapeError),
+            (lambda ids, labels, tpl, rngs: (ids, labels, tpl[:1], rngs), ShapeError),
+            (lambda ids, labels, tpl, rngs: (ids, labels, tpl, rngs[:1]), ShapeError),
+            (lambda ids, labels, tpl, rngs: (ids[:, :0], labels[:, :0], tpl, rngs), ShapeError),
+            (lambda ids, labels, tpl, rngs: (ids + 64, labels, tpl, rngs), IndexError),
+            (lambda ids, labels, tpl, rngs: (ids, labels, tpl - 64, rngs), IndexError),
+        ],
+    )
+    def test_malformed_group_rejected(self, small_stream, small_encoder, change, error):
+        args = change(*_group(small_stream), [make_rng(0, 7, 0), make_rng(0, 7, 1)])
+        with pytest.raises(error):
+            train_task(*args[:3], small_encoder, SMALL_CFG, args[3])
+
+    def test_divergence_names_the_first_diverging_task_of_the_group(self, small_encoder):
+        # Every task's step 1 is NaN (see test_huge_learning_rate_diverges_at_step_1).
+        stream = gen_stream(
+            StreamSpec(num_tasks=2, classes_per_task=2, samples_per_class=10, vocab=64)
+        )
+        cfg = TrainConfig(lr0=1e300, epochs=2, batch=64)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            train_task(*_group(stream), small_encoder, cfg, [make_rng(0, 23, 0), make_rng(0, 23, 1)])
+        assert (exc.value.step, exc.value.task) == (1, 0)
+        assert str(exc.value) == "non-finite loss at step 1 of task 0"
 
 
 class TestTaskStats:
@@ -439,7 +517,7 @@ class TestInfer:
         # calibration off must reproduce the bare zero-shot decision.
         task = small_stream[0]
         cfg = dataclasses.replace(SMALL_CFG, epochs=0)
-        adapters = train_task(
+        adapters = train_one(
             task.train_ids,
             task.train_labels,
             task.class_templates,
@@ -473,7 +551,7 @@ class TestInferBatch:
         pool = TaskPool()
         cfg = dataclasses.replace(SMALL_CFG, epochs=2)
         for task in small_stream:
-            adapters = train_task(
+            adapters = train_one(
                 task.train_ids,
                 task.train_labels,
                 task.class_templates,
@@ -672,7 +750,7 @@ class TestPrepend:
     def test_weight_pinned_regardless_of_calibration(self, small_stream, small_encoder):
         task = small_stream[0]
         cfg = dataclasses.replace(SMALL_CFG, epochs=1)
-        adapters = train_task(
+        adapters = train_one(
             task.train_ids,
             task.train_labels,
             task.class_templates,
@@ -723,7 +801,7 @@ class TestPoolIsolation:
         snapshots = []
         cfg = dataclasses.replace(SMALL_CFG, epochs=2)
         for task in small_stream:
-            adapters = train_task(
+            adapters = train_one(
                 task.train_ids,
                 task.train_labels,
                 task.class_templates,

@@ -16,6 +16,7 @@ from resadapt.numkernel import (
     finite_diff_grad,
     make_rng,
     mat,
+    row_max,
     softmax_backward,
     softmax_rows,
     vec,
@@ -136,6 +137,44 @@ def test_jacobian_rows_sum_to_zero_and_symmetric():
     assert np.allclose(j, j.T, atol=1e-15)
 
 
+# row_max takes each row's max off a contiguous transposed copy. A max is
+# exact in any order, so it equals numpy's; only the sign of a zero max may
+# differ (numpy's own reduction picks either zero, depending on the row
+# length), and exp(x - 0.0) == exp(x + 0.0) makes that invisible to the
+# softmax, which must keep numpy's bits.
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0])
+
+
+def _softmax_numpy_max(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (7, 1), (3, 5, 1), (4, 9), (6, 17), (2, 33), (32, 8, 8), (5, 32, 8, 12)]
+)
+def test_row_max_and_softmax_equal_numpy(shape):
+    rng = make_rng(8)
+    blocks = (
+        rng.normal(size=shape) * 300.0,
+        rng.choice(SPECIAL, size=shape),  # NaN, +-inf and signed zeros
+        np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+    )
+    for z in blocks:
+        got, want = row_max(z), z.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        if not np.any(want == 0.0):
+            assert got.tobytes() == want.tobytes()
+        with np.errstate(invalid="ignore"):
+            assert softmax_rows(z).tobytes() == _softmax_numpy_max(z).tobytes()
+
+
+def test_row_max_of_a_non_contiguous_block():
+    z = make_rng(9).normal(size=(6, 10))[:, ::2]
+    assert row_max(z).tobytes() == z.max(axis=-1, keepdims=True).tobytes()
+
+
 def test_softmax_backward_matches_jacobian_route():
     # dual route: dS = J^T dA per row vs the fused a*(dA - sum(a*dA)) form
     rng = make_rng(5)
@@ -173,6 +212,22 @@ def test_cross_entropy_label_out_of_range():
     for logits, labels in (([[0.0, 0.0]], [2]), ([[0.0, 0.0]], [-1]), ([[0.0, 0.0], [1.0, 2.0]], [0, 2])):
         with pytest.raises(IndexError):
             batch_cross_entropy(mat(logits), np.array(labels))
+
+
+def test_cross_entropy_over_stacked_blocks_equals_each_block():
+    # Lockstep training passes (T, B, K): one loss per block, and each
+    # block's gradient with the bits it has alone.
+    rng = make_rng(7)
+    logits = rng.normal(size=(3, 5, 4)) * 10.0
+    labels = rng.integers(0, 4, size=(3, 5))
+    loss, grad = batch_cross_entropy(logits, labels)
+    assert loss.shape == (3,) and grad.shape == logits.shape
+    for t in range(3):
+        alone_loss, alone_grad = batch_cross_entropy(logits[t], labels[t])
+        assert loss[t] == pytest.approx(alone_loss, rel=1e-15)
+        assert grad[t].tobytes() == alone_grad.tobytes()
+    with pytest.raises(IndexError):
+        batch_cross_entropy(logits, labels[:, :-1])
 
 
 def test_cross_entropy_grad_matches_finite_differences():

@@ -31,16 +31,17 @@ def build_pool(enc, mode_text="iki", kind="residual") -> tuple[TaskPool, list]:
     )
     pool = TaskPool(kind=kind)
     mode = AdapterMode.parse(mode_text)
-    for task in stream:
-        adapters = train_task(
-            task.train_ids,
-            task.train_labels,
-            task.class_templates,
-            enc,
-            CFG,
-            make_rng(CFG.seed, 7, task.index),
-            mode=mode,
-        )
+    # Both tasks train as one lockstep group.
+    adapter_sets = train_task(
+        np.stack([task.train_ids for task in stream]),
+        np.stack([task.train_labels for task in stream]),
+        np.stack([task.class_templates for task in stream]),
+        enc,
+        CFG,
+        [make_rng(CFG.seed, 7, task.index) for task in stream],
+        mode=mode,
+    )
+    for task, adapters in zip(stream, adapter_sets):
         pool.entries.append(
             PoolEntry(adapters=adapters, gaussian=estimate_task_stats(task.train_ids, enc))
         )
