@@ -191,15 +191,17 @@ def batch_cross_entropy(logit_rows: np.ndarray, labels: np.ndarray) -> tuple[np.
     """
     z = np.asarray(logit_rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if z.ndim < 2 or labels.shape != z.shape[:-1] or np.any(labels < 0) or np.any(labels >= z.shape[-1]):
+    if (z.ndim < 2 or labels.shape != z.shape[:-1]
+            or np.any(labels < 0) or np.any(labels >= z.shape[-1])):
         raise IndexError("labels out of range for logit block")
     b, k = z.shape[-2:]
+    # Every row's label entry, by its index in the (rows, K) view.
+    at_label = (np.arange(labels.size), labels.reshape(-1))
     m = row_max(z)
     lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
-    picked = np.take_along_axis(z, labels[..., None], -1)[..., 0]
-    loss = (lse - picked).mean(axis=-1)
+    loss = (lse - z.reshape(-1, k)[at_label].reshape(labels.shape)).mean(axis=-1)
     grad = softmax_rows(z)
-    grad.reshape(-1, k)[np.arange(labels.size), labels.reshape(-1)] -= 1.0
+    grad.reshape(-1, k)[at_label] -= 1.0
     return loss, grad / b
 
 
@@ -275,7 +277,7 @@ def train_task(
     attachments are stacked as (T, 1, l, d) against (T, B, L, d) batches,
     every product is the per-task one, and gradients are summed over each
     task's batch only. So a task's attachments are bit-identical to
-    training it in a group of one. A task of T = 1 is such a group.
+    training it in a group of one; a single task is such a group.
 
     Layer 0 reads only frozen embeddings, and neither branch changes its
     frozen forward, so that forward runs once per group over every
