@@ -26,8 +26,8 @@ plus the frozen attention and output): the residual branch adds to its
 output, the prompt attends over its projection. Both forwards therefore
 take that work as `frozen` when it is already computed, and then do not
 read x. Layer 0 reads only frozen embeddings, so its frozen forward can be
-computed once per task and served to every training step, whichever
-attachment sits on it.
+computed once per group of tasks and served to every training step,
+whichever attachment sits on it.
 """
 
 from __future__ import annotations
@@ -176,22 +176,27 @@ def _batch_sum(g: np.ndarray, field: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Projection:
-    """A frozen layer's prompt-independent work over an input x (B, L, d).
+class FrozenCache:
+    """A frozen layer's work over an input x (B, L, d).
 
-    q, k and v are x's projections and scores the scaled x-x block
-    (q k^T) / sqrt(d).
+    q, k and v are x's projections, scores the scaled x-x block
+    (q k^T) / sqrt(d), attn its softmax and out = attn v. A field that a
+    forward did not form, or that a caller did not keep, is None: project
+    forms no attn or out, and a lockstep step keeps only what its branch
+    reads.
     """
 
     x: np.ndarray
     p: FrozenAttention
     q: np.ndarray
-    k: np.ndarray | None
-    v: np.ndarray
-    scores: np.ndarray
+    k: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scores: np.ndarray | None = None
+    attn: np.ndarray | None = None
+    out: np.ndarray | None = None
 
 
-def project(x: np.ndarray, p: FrozenAttention) -> Projection:
+def project(x: np.ndarray, p: FrozenAttention) -> FrozenCache:
     """q = x W_q + b_q, k, v likewise, and the scaled scores (q k^T) / sqrt(d)."""
     x = _check_seq(x, p.d)
     inv_sqrt_d = 1.0 / np.sqrt(p.d)
@@ -199,38 +204,15 @@ def project(x: np.ndarray, p: FrozenAttention) -> Projection:
     k = x @ p.w_k + p.b_k
     v = x @ p.w_v + p.b_v
     scores = (q @ np.swapaxes(k, -1, -2)) * inv_sqrt_d
-    return Projection(x=x, p=p, q=q, k=k, v=v, scores=scores)
-
-
-@dataclass
-class FrozenCache(Projection):
-    """A frozen forward over x: its projection plus attn and out = attn v."""
-
-    attn: np.ndarray | None
-    out: np.ndarray | None
-
-    def take(self, idx: np.ndarray) -> "FrozenCache":
-        """The batch rows idx of what a forward given this cache reads.
-
-        A residual forward reads x, q and out, a prepend forward x, q, v and
-        scores; a field this cache does not hold stays None. k and attn stay
-        None, so the result serves a backward only with input_grad=False, as
-        layer 0 uses it.
-        """
-        # ndarray.take(idx, 0) copies the same rows as [idx], faster.
-        held = {name: getattr(self, name) for name in ("x", "q", "v", "scores", "out")}
-        rows = {name: v if v is None else v.take(idx, 0) for name, v in held.items()}
-        return FrozenCache(p=self.p, k=None, attn=None, **rows)
+    return FrozenCache(x=x, p=p, q=q, k=k, v=v, scores=scores)
 
 
 def frozen_attn_with_cache(x: np.ndarray, p: FrozenAttention) -> tuple[np.ndarray, FrozenCache]:
     """softmax(Q K^T / sqrt(d)) V with Q = x W_q + b_q etc., over (B, L, d) x."""
-    pj = project(x, p)
-    attn = softmax_rows(pj.scores)
-    out = attn @ pj.v
-    return out, FrozenCache(
-        x=pj.x, p=p, q=pj.q, k=pj.k, v=pj.v, scores=pj.scores, attn=attn, out=out
-    )
+    fc = project(x, p)
+    fc.attn = softmax_rows(fc.scores)
+    fc.out = fc.attn @ fc.v
+    return fc.out, fc
 
 
 def frozen_attn_backward(cache: FrozenCache, d_out: np.ndarray) -> np.ndarray:
@@ -278,9 +260,9 @@ def residual_attn_with_cache(
 
     The frozen term is frozen_attn_with_cache's own output, so with v_r = 0
     the result is bit-identical to the frozen layer. frozen, if given, is
-    that forward over x, or its take() of these rows, and x is not read.
-    Nothing in it depends on the adapter, so one frozen forward can serve
-    any number of adapters.
+    that forward over x, or as much of it as this forward reads (q and
+    out), and x is not read. Nothing in it depends on the adapter, so one
+    frozen forward can serve any number of adapters.
     """
     fc = frozen_attn_with_cache(x, p)[1] if frozen is None else frozen
     if a.d != p.d:
@@ -322,7 +304,7 @@ def residual_attn_backward(
 
 @dataclass
 class PrependCache:
-    proj: Projection  # of the input rows
+    proj: FrozenCache  # the input rows' projection
     k_p: np.ndarray  # (l, d) prompt keys
     v: np.ndarray  # (B, l + L, d) values of [prompt; x]
     attn: np.ndarray  # (B, L, l + L) input rows' attention over [prompt; x]
@@ -338,19 +320,19 @@ def _prepend_rows(head: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def prepend_attn_with_cache(
-    x: np.ndarray, p: FrozenAttention, prompt: PromptBaseline, frozen: Projection | None = None
+    x: np.ndarray, p: FrozenAttention, prompt: PromptBaseline, frozen: FrozenCache | None = None
 ) -> tuple[np.ndarray, PrependCache]:
     """Self-attention over [prompt; x], keeping only the last L output rows.
 
     Every kept row attends over prompt and input rows jointly, so a nonzero
     prompt changes the output; there is no weight that turns it off.
-    frozen, if given, is x's projection, or the take() of a FrozenCache, and
-    x is not read. The prompt's keys and values are projected once for the
-    whole batch. Only the input rows' queries are formed: the prompt rows'
-    outputs are discarded, so their queries, score rows and softmax are
-    never needed. Each kept row attends over [prompt; x] with scores
-    [x-prompt | x-x], so the result equals the full attention over the
-    concatenation, bit for bit.
+    frozen, if given, is x's projection, or as much of it as this forward
+    reads (q, v and scores), and x is not read. The prompt's keys and
+    values are projected once for the whole batch. Only the input rows'
+    queries are formed: the prompt rows' outputs are discarded, so their
+    queries, score rows and softmax are never needed. Each kept row attends
+    over [prompt; x] with scores [x-prompt | x-x], so the result equals the
+    full attention over the concatenation, bit for bit.
     """
     pj = project(x, p) if frozen is None else frozen
     if prompt.d != p.d:

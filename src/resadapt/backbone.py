@@ -146,19 +146,6 @@ def _apply_layer(x, layer, attach, w, layer0):
     return x + out, cache
 
 
-def layer0_cache(token_ids, stack: EncoderStack) -> FrozenCache:
-    """Layer 0's frozen forward over the embedded token ids.
-
-    A residual adapter on layer 0 adds to this forward's output; a prompt
-    attends over its projection of the input rows. Layer 0 reads only the
-    frozen embeddings, and no attachment changes this work, so no training
-    step changes this cache: encode_with_cache can take it, or its take()
-    of some rows, in place of recomputing it.
-    """
-    ids = _check_ids(token_ids, stack.vocab)
-    return frozen_attn_with_cache(stack.embed[ids], stack.layers[0])[1]
-
-
 def encode_with_cache(
     token_ids,
     stack: EncoderStack,
@@ -168,10 +155,10 @@ def encode_with_cache(
 ) -> tuple[np.ndarray, EncodeCache]:
     """Forward pass keeping intermediates for the training backward.
 
-    layer0, if given, is layer 0's frozen work over these token ids:
-    layer0_cache(token_ids, stack), its take() of these rows, or as much of
-    it as layer 0's attachment reads (training's lockstep step). It replaces
-    the embedding lookup and layer 0's frozen forward, and the token ids are
+    layer0, if given, is layer 0's frozen work over these token ids: its
+    frozen_attn_with_cache over the embedded ids, or as much of it as layer
+    0's attachment reads (training's lockstep step). It replaces the
+    embedding lookup and layer 0's frozen forward, and the token ids are
     then not read again, so they may carry a leading task axis, (T, B, L),
     as the cache's rows do. Layer 0's forward, residual or prompt, then runs
     over it without recomputing that work.

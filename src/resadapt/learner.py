@@ -13,7 +13,7 @@ cannot touch it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ from .backbone import (
     encode,
     encode_backward,
     encode_with_cache,
-    layer0_cache,
 )
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
 from .numkernel import row_max, softmax_rows
@@ -140,14 +139,27 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+# Rows encoded at once while a task's statistics are fitted, and of layer
+# 0's frozen forward while a group's kept work is built: bounds the
+# forward's caches and temporaries (about 20 kB a row at d = 32, L = 8)
+# whatever the task's or the group's size.
+ROW_CHUNK = 128
+
+
 def estimate_task_stats(train_ids: np.ndarray, enc: DualEncoder, ridge: float = 1e-7) -> TaskGaussian:
     """Frozen-feature Gaussian of one task.
 
     Uses the bare image encoder only: no adapters exist yet (and none are
     consulted), so the statistics describe the frozen representation that
-    inference-time selection will also see.
+    inference-time selection will also see. The rows are encoded in blocks
+    of ROW_CHUNK, which bounds the encoder's caches; encode is
+    row-independent, so the features are those of one whole encode.
     """
-    return fit_gaussian(encode(train_ids, enc.image), ridge)
+    feats = [
+        encode(train_ids[start : start + ROW_CHUNK], enc.image)
+        for start in range(0, len(train_ids), ROW_CHUNK)
+    ]
+    return fit_gaussian(np.concatenate(feats), ridge)
 
 
 def _init_attachments(mode: AdapterMode, cfg: TrainConfig, d: int, rng: np.random.Generator) -> list:
@@ -205,43 +217,39 @@ def batch_cross_entropy(logit_rows: np.ndarray, labels: np.ndarray) -> tuple[np.
     return loss, grad / b
 
 
-# Rows of layer 0's frozen forward computed at once while a group's cache
-# is built: bounds that forward's cache and temporaries (about 20 kB a row
-# at d = 32, L = 8) whatever the group's size.
-LAYER0_CHUNK = 128
-
 # What a step's layer-0 forward reads of the frozen work besides the rows'
 # inputs and queries, which it recomputes: a residual adapter adds to the
 # frozen output, a prompt attends over the rows' values and scores.
 LAYER0_KEPT = {"residual": ("out",), "prepend": ("v", "scores")}
 
 
-def _layer0_kept(ids: np.ndarray, stack: EncoderStack, names: tuple) -> FrozenCache:
-    """Layer 0's frozen forward over (R, L) token ids holding only the fields names.
+def _layer0_kept(ids: np.ndarray, stack: EncoderStack, names: tuple) -> dict:
+    """The fields names of layer 0's frozen forward over (R, L) token ids, by name.
 
-    Built in row chunks into one array per field.
+    Built in ROW_CHUNK row chunks into one array per field.
     """
-    kept = dict.fromkeys(("x", "q", "k", "v", "scores", "attn", "out"))
-    for start in range(0, len(ids), LAYER0_CHUNK):
-        chunk = layer0_cache(ids[start : start + LAYER0_CHUNK], stack)
+    kept = {}
+    for start in range(0, len(ids), ROW_CHUNK):
+        chunk = frozen_attn_with_cache(stack.embed[ids[start : start + ROW_CHUNK]], stack.layers[0])[1]
         for name in names:
             value = getattr(chunk, name)
-            if kept[name] is None:
+            if name not in kept:
                 kept[name] = np.empty((len(ids),) + value.shape[1:])
             kept[name][start : start + len(value)] = value
         del chunk, value  # before the next chunk's forward allocates its own
-    return FrozenCache(p=stack.layers[0], **kept)
+    return kept
 
 
 def _step_grads(step, ids, img0, labels, img_att, templates, txt0, txt_att, enc, logit_scale):
     """Both towers' attachment gradients at one lockstep step over (T, B, L) batch ids.
 
-    img0 is the batch rows of the group's kept layer-0 work; the rows'
-    inputs and queries are recomputed here. The step's caches are freed
-    when this returns, before the next step builds its own.
+    img0 holds the batch rows of the group's kept layer-0 work, by name;
+    the rows' inputs and queries are recomputed here. The step's caches are
+    freed when this returns, before the next step builds its own.
     """
+    layer = enc.image.layers[0]
     x = enc.image.embed.take(ids, 0)
-    img0 = replace(img0, x=x, q=x @ img0.p.w_q + img0.p.b_q)
+    img0 = FrozenCache(x=x, p=layer, q=x @ layer.w_q + layer.b_q, **img0)
     img_feats, img_cache = encode_with_cache(ids, enc.image, img_att, 1.0, img0)
     txt_feats, txt_cache = encode_with_cache(templates, enc.text, txt_att, 1.0, txt0)
     logit_block = logit_scale * (img_feats @ np.swapaxes(txt_feats, -1, -2))
@@ -327,8 +335,9 @@ def train_task(
         for start in range(0, n, cfg.batch):
             rows = perm[:, start : start + cfg.batch]
             lr = cosine_lr(step, total_steps, cfg.lr0)
+            # ndarray.take(rows, 0) copies the same rows as [rows], faster.
             img_grads, txt_grads = _step_grads(
-                step, flat_ids.take(rows, 0), img0.take(rows),
+                step, flat_ids.take(rows, 0), {name: v.take(rows, 0) for name, v in img0.items()},
                 flat_labels.take(rows), img_att, class_templates, txt0, txt_att, enc, cfg.logit_scale,
             )
             img_att = _sgd_step(img_att, img_grads, lr)

@@ -13,6 +13,7 @@ from resadapt.attention import (
     Adapter,
     Attachment,
     FrozenAttention,
+    FrozenCache,
     PromptBaseline,
     frozen_attn_backward,
     frozen_attn_with_cache,
@@ -38,6 +39,11 @@ def residual(x, p, a, w):
 
 def prepend(x, p, prompt):
     return prepend_attn_with_cache(x, p, prompt)[0]
+
+
+def _rows(whole, idx, names):
+    """The batch rows idx of the fields names of a frozen cache; the others None."""
+    return FrozenCache(p=whole.p, **{name: getattr(whole, name)[idx] for name in names})
 
 
 def adapter_grads(x, p, a, w, d_out):
@@ -200,18 +206,19 @@ def test_prepend_equals_attention_over_concat_bitwise(b, length, l, d):
 
 def test_prepend_over_taken_frozen_cache_bitwise_equal():
     # Layer 0's frozen forward over a whole training set, restricted to a
-    # batch, is a projection that must give the batch's own prepend forward
-    # and backward bit for bit, without reading x.
+    # batch and to what a prompt reads, must give the batch's own prepend
+    # forward and backward bit for bit, without reading x.
     rng = make_rng(24)
     p = random_frozen_attention(4, rng)
     prompt = PromptBaseline(p=rng.normal(size=(2, 4)))
     x = rng.normal(size=(9, 3, 4))
     _, whole = frozen_attn_with_cache(x, p)
     for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
-        got, got_cache = prepend_attn_with_cache(None, p, prompt, frozen=whole.take(idx))
+        rows = _rows(whole, idx, ("x", "q", "v", "scores"))
+        got, got_cache = prepend_attn_with_cache(None, p, prompt, frozen=rows)
         want, want_cache = prepend_attn_with_cache(x[idx], p, prompt)
         assert np.array_equal(got, want)
-        # The taken rows hold what the forward and its prompt backward read.
+        # The rows hold what the forward and its prompt backward read.
         for name in ("x", "q", "v", "scores"):
             assert np.array_equal(getattr(got_cache.proj, name), getattr(want_cache.proj, name))
         assert got_cache.proj.k is got_cache.proj.attn is None
@@ -358,20 +365,21 @@ def test_attachment_width_must_match_layer(branch):
 
 def test_residual_over_taken_frozen_cache_bitwise_equal():
     # Layer 0's frozen forward over a whole training set, restricted to a
-    # batch, must give the batch's own residual forward bit for bit, without
-    # reading x.
+    # batch and to what an adapter reads, must give the batch's own residual
+    # forward bit for bit, without reading x.
     rng = make_rng(18)
     p = random_frozen_attention(4, rng)
     a = Adapter(k_r=rng.normal(size=(2, 4)), v_r=rng.normal(size=(2, 4)))
     x = rng.normal(size=(9, 3, 4))
     _, whole = frozen_attn_with_cache(x, p)
     for idx in (np.array([4, 0, 7]), np.array([8]), rng.permutation(9)):
-        got, got_cache = residual_attn_with_cache(None, p, a, 1.0, frozen=whole.take(idx))
+        rows = _rows(whole, idx, ("x", "q", "out"))
+        got, got_cache = residual_attn_with_cache(None, p, a, 1.0, frozen=rows)
         want, want_cache = residual_attn_with_cache(x[idx], p, a, 1.0)
         assert np.array_equal(got, want)
         assert np.array_equal(got_cache.attn_r, want_cache.attn_r)
-        # The taken rows hold what the forward and its parameter backward read.
-        for name in ("x", "q", "v", "scores", "out"):
+        # The rows hold what the forward and its parameter backward read.
+        for name in ("x", "q", "out"):
             assert np.array_equal(getattr(got_cache.frozen, name), getattr(want_cache.frozen, name))
         assert got_cache.frozen.k is got_cache.frozen.attn is None
         d_out = rng.normal(size=got.shape)

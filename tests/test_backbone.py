@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resadapt.attention import Adapter, PromptBaseline, init_adapter
+from resadapt.attention import (
+    Adapter,
+    FrozenCache,
+    PromptBaseline,
+    frozen_attn_with_cache,
+    init_adapter,
+)
 from resadapt.backbone import (
     EncoderSpec,
     class_embeddings,
     encode,
     encode_with_cache,
     encode_backward,
-    layer0_cache,
 )
 from resadapt.bench.stream import TEMPLATE_PREFIX
 from resadapt.errors import ContractError, ShapeError
+from resadapt.learner import LAYER0_KEPT, _layer0_kept
 from resadapt.numkernel import finite_diff_grad, make_rng
 
 
@@ -53,7 +59,7 @@ def test_encode_batch_matches_loop(small_encoder):
     assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("encoder", [encode, encode_with_cache, layer0_cache])
+@pytest.mark.parametrize("encoder", [encode, encode_with_cache])
 @pytest.mark.parametrize("shape", [(6,), (1, 1, 6)])
 def test_ids_must_be_a_batch(small_encoder, encoder, shape):
     # A single sequence is a batch of one: (1, L), not (L,).
@@ -165,31 +171,45 @@ def _prompts(rng, n):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, kind",
     [
-        lambda rng: _adapters(rng, 1),
-        lambda rng: _adapters(rng, 2),
-        lambda rng: _prompts(rng, 1),
-        lambda rng: _prompts(rng, 2),
-        lambda rng: None,
+        (lambda rng: _adapters(rng, 1), "residual"),
+        (lambda rng: _adapters(rng, 2), "residual"),
+        (lambda rng: _prompts(rng, 1), "prepend"),
+        (lambda rng: _prompts(rng, 2), "prepend"),
+        (lambda rng: None, None),
     ],
     ids=["adapter-1", "adapter-2", "prompt-1", "prompt-2", "none"],
 )
-def test_layer0_cache_rows_give_identical_features_and_grads(small_encoder, make):
-    # Training computes layer 0's frozen forward once for all rows and takes
-    # each batch from it, whatever sits on layer 0; features and gradients
-    # must equal encoding the batch from ids.
+def test_layer0_cache_rows_give_identical_features_and_grads(small_encoder, make, kind):
+    # A lockstep step builds layer 0's record as training does: the batch's
+    # rows of what its branch reads (LAYER0_KEPT), kept over all training
+    # rows, plus the batch's inputs and queries, recomputed. Features and
+    # gradients must equal encoding the batch from ids. Without an
+    # attachment, layer 0's output is the record's own: the batch's rows of
+    # every field of the whole frozen forward.
     rng = make_rng(7)
+    stack = small_encoder.image
+    layer = stack.layers[0]
     ids = rng.integers(0, 64, size=(12, 6))
     attach = make(rng)
-    whole = layer0_cache(ids, small_encoder.image)
     idx = rng.permutation(12)[:5]
+    if kind is None:
+        whole = frozen_attn_with_cache(stack.embed[ids], layer)[1]
+        names = ("x", "q", "k", "v", "scores", "attn", "out")
+        layer0 = FrozenCache(p=layer, **{name: getattr(whole, name)[idx] for name in names})
+    else:
+        kept = _layer0_kept(ids, stack, LAYER0_KEPT[kind])
+        assert sorted(kept) == sorted(LAYER0_KEPT[kind])
+        x = stack.embed[ids[idx]]
+        rows = {name: value[idx] for name, value in kept.items()}
+        layer0 = FrozenCache(x=x, p=layer, q=x @ layer.w_q + layer.b_q, **rows)
     d_feats = rng.normal(size=(5, 8))
-    feats, cache = encode_with_cache(ids[idx], small_encoder.image, attach, 1.0, whole.take(idx))
-    ref_feats, ref_cache = encode_with_cache(ids[idx], small_encoder.image, attach, 1.0)
+    feats, cache = encode_with_cache(ids[idx], stack, attach, 1.0, layer0)
+    ref_feats, ref_cache = encode_with_cache(ids[idx], stack, attach, 1.0)
     assert np.array_equal(feats, ref_feats)
     got, want = encode_backward(cache, d_feats), encode_backward(ref_cache, d_feats)
-    assert len(got) == len(want) == small_encoder.image.depth
+    assert len(got) == len(want) == stack.depth
     for g, w in zip(got, want):
         # None, or one gradient per attachment field
         assert (g is None and w is None) or np.array_equal(g, w)
@@ -221,7 +241,8 @@ def test_layer0_cache_must_match_ids_and_stack(small_encoder):
     # and the stack it was built from.
     rng = make_rng(8)
     ids = rng.integers(0, 64, size=(4, 6))
-    cache = layer0_cache(ids, small_encoder.image)
+    _, cache = frozen_attn_with_cache(small_encoder.image.embed[ids], small_encoder.image.layers[0])
+    _, first3 = frozen_attn_with_cache(small_encoder.image.embed[ids[:3]], small_encoder.image.layers[0])
     for attach in ([init_adapter(3, 8, 0.02, rng)], [PromptBaseline(p=rng.normal(size=(3, 8)))], None):
         feats, _ = encode_with_cache(ids, small_encoder.image, attach, 1.0, cache)
         assert np.array_equal(feats, encode_with_cache(ids, small_encoder.image, attach, 1.0)[0])
@@ -230,7 +251,7 @@ def test_layer0_cache_must_match_ids_and_stack(small_encoder):
         with pytest.raises(ContractError):
             encode_with_cache(ids, small_encoder.text, attach, 1.0, cache)
         with pytest.raises(ContractError):
-            encode_with_cache(ids, small_encoder.image, attach, 1.0, cache.take(np.arange(3)))
+            encode_with_cache(ids, small_encoder.image, attach, 1.0, first3)
 
 
 def test_encode_backward_skips_frozen_backward_at_layer_0(small_encoder, monkeypatch):

@@ -116,29 +116,36 @@ def test_traced_training_runs_one_forward_per_backward(tracer, small_encoder, mo
     # tower, layer 0 over the group's kept frozen work included, so the
     # per-layer split sees every forward whose backward it counts. Layer 0's
     # frozen forward runs once per group over the training rows, in chunks
-    # of LAYER0_CHUNK, and once over the templates; a residual step runs
-    # layer 1's frozen forward in both towers.
-    spec = StreamSpec(num_tasks=MAX_GROUP + 2, classes_per_task=2, samples_per_class=20, vocab=64)
-    stream = gen_stream(spec)
-    cfg = TrainConfig(epochs=2, batch=12, prompt_len=4, adapter_depth=2)
-    tr = tracer.Tracer()
-    with tr.installed():
-        continual.train_pool(stream, small_encoder, cfg, mode)
-    n_train = len(stream[0].train_labels)
-    groups = [MAX_GROUP, 2]
-    steps = tr.counters["learner.train_task.steps"]
-    assert steps == len(groups) * cfg.epochs * math.ceil(n_train / cfg.batch)
-    branch = "prepend" if mode == "prepend" else "residual"
-    other = "residual" if mode == "prepend" else "prepend"
-    assert tr.calls[f"attention.{branch}_attn_with_cache"] == 4 * steps
-    assert tr.calls[f"attention.{branch}_attn_backward"] == 4 * steps
-    assert tr.calls[f"attention.{other}_attn_with_cache"] == 0
-    # Statistics encode each task with the bare encoder: one frozen forward
-    # per layer.
-    stats = spec.num_tasks * small_encoder.image.depth
-    per_group = sum(math.ceil(t * n_train / learner.LAYER0_CHUNK) + 1 for t in groups)
-    frozen_per_step = 0 if mode == "prepend" else 2
-    assert tr.calls["attention.frozen_attn_with_cache"] == stats + per_group + frozen_per_step * steps
+    # of ROW_CHUNK, and once over the templates; a residual step runs layer
+    # 1's frozen forward in both towers. Statistics encode each task's rows
+    # with the bare encoder in chunks of ROW_CHUNK, one frozen forward per
+    # layer each. Tasks of 32 rows take one chunk, tasks of 160 two.
+    for samples_per_class in (20, 100):
+        spec = StreamSpec(num_tasks=MAX_GROUP + 2, classes_per_task=2,
+                          samples_per_class=samples_per_class, vocab=64)
+        stream = gen_stream(spec)
+        cfg = TrainConfig(epochs=2, batch=12, prompt_len=4, adapter_depth=2)
+        tr = tracer.Tracer()
+        with tr.installed():
+            continual.train_pool(stream, small_encoder, cfg, mode)
+        n_train = len(stream[0].train_labels)
+        groups = [MAX_GROUP, 2]
+        steps = tr.counters["learner.train_task.steps"]
+        assert steps == len(groups) * cfg.epochs * math.ceil(n_train / cfg.batch)
+        branch = "prepend" if mode == "prepend" else "residual"
+        other = "residual" if mode == "prepend" else "prepend"
+        assert tr.calls[f"attention.{branch}_attn_with_cache"] == 4 * steps
+        assert tr.calls[f"attention.{branch}_attn_backward"] == 4 * steps
+        assert tr.calls[f"attention.{other}_attn_with_cache"] == 0
+        stats = spec.num_tasks * math.ceil(n_train / learner.ROW_CHUNK)
+        assert tr.calls["backbone.encode"] == stats
+        assert tr.rows["backbone.encode"] == spec.num_tasks * n_train
+        assert tr.calls["backbone.encode_with_cache"] == stats + 2 * steps
+        per_group = sum(math.ceil(t * n_train / learner.ROW_CHUNK) + 1 for t in groups)
+        frozen_per_step = 0 if mode == "prepend" else 2
+        assert tr.calls["attention.frozen_attn_with_cache"] == (
+            stats * small_encoder.image.depth + per_group + frozen_per_step * steps
+        )
 
 
 def test_op_probe_calls_on_its_shapes():

@@ -469,6 +469,22 @@ class TestTaskStats:
         np.testing.assert_array_equal(gaussian.mu, direct.mu)
         np.testing.assert_array_equal(gaussian.sigma, direct.sigma)
 
+    def test_large_task_encodes_in_row_chunks(self, small_encoder, monkeypatch):
+        # A task of more than ROW_CHUNK rows is encoded in blocks of at most
+        # ROW_CHUNK rows, which bounds the encoder's caches, and its
+        # Gaussian is the one fitted on a single encode of every row.
+        task = gen_stream(StreamSpec(num_tasks=1, classes_per_task=2, samples_per_class=100,
+                                     vocab=64))[0]
+        n = len(task.train_ids)
+        assert n > learner.ROW_CHUNK and n % learner.ROW_CHUNK
+        direct = fit_gaussian(encode(task.train_ids, small_encoder.image), 1e-7)
+        seen = []
+        monkeypatch.setattr(learner, "encode", lambda ids, stack: seen.append(len(ids)) or encode(ids, stack))
+        gaussian = estimate_task_stats(task.train_ids, small_encoder)
+        assert seen == [learner.ROW_CHUNK, n - learner.ROW_CHUNK]
+        for f in dataclasses.fields(gaussian):
+            np.testing.assert_array_equal(getattr(gaussian, f.name), getattr(direct, f.name))
+
     def test_adapters_do_not_leak_into_stats(self, trained, small_encoder):
         # Statistics describe the frozen representation only, so they are
         # identical whether or not the task has trained attachments.
