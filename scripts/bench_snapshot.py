@@ -14,13 +14,17 @@ environment it printed.
 perfbench's tracer cannot see checkpoint evaluation below evaluate_task:
 it runs InferState.infer, which calls route and classify, which calls
 predict once per routed group, and none of the four is a traced target.
-So this script also runs run_continual on each workload in process, with
-those four, class_embeddings (predict's text encode) and encode wrapped
-from outside by perfbench's own Tracer (originals restored on exit), and
-records their calls and seconds per pass under the key "eval_calls".
-With encode wrapped, class_embeddings' self_s is its own work without the
-frozen text encode. encode's span counts every frozen encode of the run,
-estimate_task_stats' included, not only those under evaluation.
+Rows the gate closes skip classify: infer gives them the frozen model's
+decision, formed once per state from one bare template encode. So this
+script also runs run_continual on each workload in process, with those
+four, class_embeddings (predict's text encode) and encode wrapped from
+outside by perfbench's own Tracer (originals restored on exit), and
+records their calls and seconds per pass under the key "eval_calls", and
+the rows that classify and predict receive, which count the rows that
+the fallback did not decide. With encode wrapped, class_embeddings'
+self_s is its own work without the frozen text encode. encode's span
+counts every encode of the run, estimate_task_stats' and the frozen
+template encodes included, not only those under classify.
 
 --root names the checkout to measure (default: the one holding this
 script), so a parent commit can be measured with the same writer. The file
@@ -72,7 +76,7 @@ def _git(root: Path) -> dict:
 
 
 def _eval_calls(root: Path, workload: str) -> dict:
-    """Per-pass calls and seconds of the evaluation spans over run_continual."""
+    """Per-pass calls, seconds and rows of the evaluation spans over run_continual."""
     run = importlib.import_module("run")  # perfbench/run.py, on sys.path
     tracer_mod = importlib.import_module("tracer")  # perfbench/tracer.py
     continual = importlib.import_module("resadapt.bench.continual")
@@ -86,7 +90,9 @@ def _eval_calls(root: Path, workload: str) -> dict:
     Target = tracer_mod.Target
     infer = Target("resadapt.learner", "infer", "learner.InferState")
     tracer = tracer_mod.Tracer(
-        [Target("resadapt.learner", f, "learner") for f in ("route", "classify", "predict")]
+        [Target("resadapt.learner", "route", "learner")]
+        + [Target("resadapt.learner", f, "learner", tracer_mod._rows_of(0, "ids"))
+           for f in ("classify", "predict")]
         + [Target("resadapt.backbone", f, "backbone") for f in ("class_embeddings", "encode")]
     )
     spans = [infer.span] + [t.span for t in tracer.targets]
@@ -100,6 +106,7 @@ def _eval_calls(root: Path, workload: str) -> dict:
                 continual.run_continual(stream, enc, wl.train, run.CALIBRATE, wl.mode)
             passes.append({name: (tracer.calls[name], tracer.total(name), tracer.self_s[name])
                            for name in spans})
+            rows = dict(tracer.rows)
     finally:
         learner.InferState.infer = original
     out = {}
@@ -109,6 +116,8 @@ def _eval_calls(root: Path, workload: str) -> dict:
             "s": statistics.median(p[name][1] for p in passes),
             "self_s": statistics.median(p[name][2] for p in passes),
         }
+        if name in rows:
+            out[name]["rows"] = rows[name]
     out["passes"] = EVAL_PASSES
     return out
 

@@ -219,16 +219,28 @@ def encode(
     stack: EncoderStack,
     adapters: Sequence[Attachment] | None = None,
     w=1.0,
-) -> np.ndarray:
+    floor: bool = False,
+):
     """Unit-norm features (B, d) of a batch of (B, L) token ids.
 
     w is one weight for every sample or one weight per sample. Raises
     ContractError if a feature is not finite, which attachments that
     overflow the encoder cause.
+
+    With floor, for the bare encoder only, returns (features, floor):
+    floor is the smallest |attention output| of any layer over every row,
+    position and coordinate, read off the forward's caches before they are
+    dropped. It bounds from below every frozen output a residual adapter
+    adds to (see learner.gate_closed). Finite features imply finite
+    outputs, so the floor is finite.
     """
-    feats, _ = encode_with_cache(token_ids, stack, adapters, w)
+    if floor and adapters is not None:
+        raise ContractError("a floor is taken of the bare encoder only")
+    feats, cache = encode_with_cache(token_ids, stack, adapters, w)
     if not np.all(np.isfinite(feats)):
         raise ContractError("encoded features are not finite: the attachments overflow the encoder")
+    if floor:
+        return feats, min(float(np.abs(c.out).min()) for c in cache.layer_caches)
     return feats
 
 

@@ -3,7 +3,8 @@
 Five suites:
 
   zero-init       fresh adapters leave encoder outputs identical to the
-                  frozen model (the no-interference identity)
+                  frozen model (the no-interference identity), and so do
+                  trained-scale adapters at a weight the gate closes
   gradcheck       analytic adapter gradients against central differences
   degenerate-init all-zero keys AND values freeze the keys forever and
                   force all value rows to stay pairwise identical; random
@@ -31,12 +32,13 @@ import numpy as np
 from ..attention import (
     Adapter,
     init_adapter,
+    init_adapter_ablation,
     random_frozen_attention,
     residual_attn_backward,
     residual_attn_with_cache,
 )
 from ..backbone import EncoderSpec, build_dual_encoder, encode
-from ..learner import TrainConfig
+from ..learner import CLOSED_MARGIN, TrainConfig, gate_closed
 from ..numkernel import finite_diff_grad, make_rng
 from .continual import (
     assignment_accuracy,
@@ -84,6 +86,31 @@ def verify_zero_init_identity(seed: int = 0, n_inputs: int = 100) -> VerifyRepor
         f"fresh adapters leave {n_inputs} random encodings unchanged",
         worst <= 1e-12,
         f"max deviation {worst:.3e}",
+    )
+    # Closed-gate identity: adapters with values at a trained scale (trained
+    # pools reach |v_r| of 2 to 10), each row at a weight gate_closed passes,
+    # from the subnormal 5e-324 up to the largest one under the bound.
+    identical = closed = 0
+    for depth in (1, 2):
+        for stack in (enc.image, enc.text):
+            ids = rng.integers(0, stack.vocab, size=(n_inputs // 4, 8))
+            adapters = [
+                init_adapter_ablation(cfg.prompt_len, stack.d, 10.0, rng) for _ in range(depth)
+            ]
+            v_max = max(float(np.abs(a.v_r).max()) for a in adapters)
+            plain, floor = encode(ids, stack, floor=True)
+            top = CLOSED_MARGIN * floor / v_max
+            while not gate_closed(top, v_max, floor):
+                top = np.nextafter(top, 0.0)
+            w = np.geomspace(5e-324, top, len(ids))
+            w[-1] = top
+            closed += int(np.sum(gate_closed(w, v_max, floor)))
+            identical += int(np.sum(np.all(encode(ids, stack, adapters, w) == plain, axis=1)))
+    report.check(
+        f"closed-gate identity: trained-scale adapters leave {n_inputs} encodings "
+        "bit-identical in both towers at weights the gate closes",
+        identical == closed == 4 * (n_inputs // 4),
+        f"{identical} identical, {closed} closed",
     )
     return report
 

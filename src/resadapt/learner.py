@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
+    Adapter,
     Attachment,
     FrozenCache,
     PromptBaseline,
@@ -117,8 +118,25 @@ class AdapterSet:
 
 @dataclass(frozen=True)
 class PoolEntry:
+    """One task's attachments and Gaussian.
+
+    v_max is derived, never an input, and not stored in pool files: the
+    largest |v_r| of the entry's residual adapters in both towers (0 with
+    none, inf if any attachment is a prompt, NaN if a v_r holds NaN). A
+    softmax row sums to at most 1, so no adapter readout of the entry
+    exceeds it in magnitude, up to rounding (see gate_closed).
+    """
+
     adapters: AdapterSet
     gaussian: TaskGaussian
+    v_max: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bounds = [
+            np.abs(a.v_r).max() if isinstance(a, Adapter) else math.inf
+            for a in self.adapters.image_adapters + self.adapters.text_adapters
+        ]
+        object.__setattr__(self, "v_max", float(np.max(bounds, initial=0.0)))
 
 
 @dataclass
@@ -376,6 +394,34 @@ def route(
     return task_idx, weights
 
 
+# A routed row is gate-closed when w * v_max < CLOSED_MARGIN * floor and
+# MIN_FLOOR <= floor < inf; see gate_closed.
+CLOSED_MARGIN = 2.0**-60
+MIN_FLOOR = 2.0**-960
+
+
+def gate_closed(weights: np.ndarray, v_max: np.ndarray, floor: float) -> np.ndarray:
+    """Rows whose attachments, at their weights, leave both encoders bit-identical to frozen.
+
+    v_max is each row's entry's PoolEntry.v_max, and floor bounds from below
+    every frozen attention output of the row's image and template forwards
+    (encode's floor). A residual layer adds fl(w * out_r), with |out_r| <=
+    v_max up to rounding, to a frozen output x with |x| >= floor. Below the
+    margin the addend stays under 2**-59 * floor, while the floats next to
+    x lie at least 2**-53 * floor away from it, so the sum rounds back to
+    x: layer by layer, the adapted forward returns the frozen forward's
+    bits. MIN_FLOOR keeps floor * CLOSED_MARGIN normal, so a subnormal
+    product (w = 4.9e-324) is covered too. NaN or inf in any input fails
+    the test.
+    """
+    return (weights * v_max < CLOSED_MARGIN * floor) & (MIN_FLOOR <= floor < math.inf)
+
+
+def _decide(feats: np.ndarray, text_feats: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    # Row b's class: the argmax of its cosines with text_feats[inverse[b]], (K, d).
+    return np.argmax(np.einsum("bd,bkd->bk", feats, text_feats[inverse]), axis=1)
+
+
 def predict(
     ids: np.ndarray,
     adapters: AdapterSet | None,
@@ -403,7 +449,7 @@ def predict(
     text_feats = class_embeddings(
         np.tile(candidate_classes, (len(w_unique), 1)), enc.text, text, np.repeat(w_unique, k)
     ).reshape(len(w_unique), k, -1)
-    return np.argmax(np.einsum("bd,bkd->bk", feats, text_feats[inverse]), axis=1)
+    return _decide(feats, text_feats, inverse)
 
 
 def classify(
@@ -466,6 +512,18 @@ class InferState:
     state to its inputs by identity; later calls must pass the same token-id
     and template arrays, encoder and calibrate flag, and a pool that extends
     the last.
+
+    Rows the gate closes take the frozen model's decision without a
+    classify call. The image encode that gives the frozen features also
+    gives the floor of its attention outputs. A moved row whose weight
+    passes gate_closed against that floor is a candidate; at the first
+    candidate the state encodes the templates once with the bare text
+    encoder, lowers the floor to theirs, and forms every row's zero-shot
+    decision with predict's own product. Candidates that still pass
+    gate_closed take that decision, which equals classify's bits: their
+    adapted forwards return the frozen ones in both towers, and every
+    encode and product is row-independent. The other moved rows, and all
+    rows of a prompt pool or with calibrate=False, go through classify.
     """
 
     inputs: tuple = ()  # (token_ids, enc, classes, calibrate) of the first call
@@ -476,6 +534,8 @@ class InferState:
     task_idx: np.ndarray | None = None
     weights: np.ndarray | None = None
     class_idx: np.ndarray | None = None
+    floor: float = 0.0  # encode's floor of the image rows, then of the templates too
+    zero_shot: np.ndarray | None = None  # frozen decisions, formed at the first closed candidate
 
     def infer(
         self,
@@ -493,7 +553,7 @@ class InferState:
         inputs = (token_ids, enc, candidate_classes, bool(calibrate))
         if self.ids is None:
             ids = np.asarray(token_ids, dtype=np.int64)
-            self.frozen_feats = encode(ids, enc.image)
+            self.frozen_feats, self.floor = encode(ids, enc.image, floor=True)
             self.inputs, self.ids = inputs, ids
             self.scores = np.empty((ids.shape[0], 0))
             self.task_idx = np.full(ids.shape[0], -1)
@@ -506,6 +566,19 @@ class InferState:
         self.scored.extend(new)
         task_idx, weights = route(self.scores, pool, calibrate)
         moved = task_idx != self.task_idx
+        if calibrate and pool.kind == "residual":
+            v_max = np.array([e.v_max for e in pool.entries])[task_idx]
+            closed = moved & gate_closed(weights, v_max, self.floor)
+            if np.any(closed):
+                if self.zero_shot is None:
+                    text_feats, text_floor = encode(candidate_classes, enc.text, floor=True)
+                    self.floor = min(self.floor, text_floor)
+                    self.zero_shot = _decide(
+                        self.frozen_feats, text_feats[None], np.zeros(len(moved), dtype=np.int64)
+                    )
+                    closed &= gate_closed(weights, v_max, self.floor)
+                self.class_idx[closed] = self.zero_shot[closed]
+                moved &= ~closed
         if np.any(moved):
             self.class_idx[moved] = classify(
                 self.ids[moved], task_idx[moved], weights[moved], pool, candidate_classes, enc

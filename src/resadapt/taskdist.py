@@ -92,5 +92,6 @@ def calibration_weight_batch(s_hat: np.ndarray) -> np.ndarray:
     open-interval contract survives rounding.
     """
     z = np.asarray(s_hat, dtype=np.float64)
-    w = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))  # in (0, 1]: neither branch can overflow
+    w = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.clip(w, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))

@@ -300,3 +300,20 @@ def test_encode_rejects_nan_weight(small_encoder):
     fresh = [init_adapter(3, 8, 0.02, make_rng(11))]
     with pytest.raises(ContractError):
         encode(make_rng(12).integers(0, 64, size=(1, 6)), small_encoder.image, fresh, float("nan"))
+
+
+def test_encode_floor_is_the_smallest_attention_output(small_encoder):
+    # floor reads every layer's frozen output off the one forward: the
+    # features are encode's, and the floor is the smallest |out| in the caches.
+    ids = make_rng(13).integers(0, 64, size=(5, 6))
+    for stack in (small_encoder.image, small_encoder.text):
+        feats, floor = encode(ids, stack, floor=True)
+        _, cache = encode_with_cache(ids, stack)
+        assert np.array_equal(feats, encode(ids, stack))
+        assert floor == min(np.abs(c.out).min() for c in cache.layer_caches) > 0.0
+
+
+def test_encode_floor_of_the_bare_encoder_only(small_encoder):
+    fresh = [init_adapter(3, 8, 0.02, make_rng(14))]
+    with pytest.raises(ContractError):
+        encode(make_rng(15).integers(0, 64, size=(2, 6)), small_encoder.image, fresh, floor=True)

@@ -20,13 +20,15 @@ from resadapt.bench.continual import (
 from resadapt.bench.config import load_config
 from resadapt.bench.stream import StreamSpec, gen_stream
 from resadapt.errors import ConfigError, ContractError, DivergenceError
-from resadapt.backbone import class_embeddings, encode
+from resadapt import learner
+from resadapt.backbone import class_embeddings, encode, encode_with_cache
 from resadapt.learner import InferState, TaskPool, TrainConfig, infer_batch, train_task
 from resadapt.numkernel import make_rng
 
 CFG = TrainConfig(lr0=5.0, epochs=2, batch=16, prompt_len=4, adapter_depth=2, seed=0)
 
 SMALL_CFG = Path(__file__).resolve().parent.parent / "configs" / "small.cfg"
+DEFAULT_CFG = SMALL_CFG.parent / "default.cfg"
 
 # sha256 over every trained attachment array of a configs/small.cfg run, in
 # pool order: per entry, the image then the text attachments, each as k_r
@@ -400,3 +402,91 @@ class TestManualWeightDial:
         )
         assert set(sweep) == {0.0, 0.25, 0.5, 0.75, 1.0}
         assert all(0.0 <= v <= 1.0 for v in sweep.values())
+
+
+def _frozen_floor(ids, stack) -> float:
+    """Smallest |attention output| of the bare stack over ids, from encode_with_cache."""
+    _, cache = encode_with_cache(ids, stack)
+    return min(float(np.abs(c.out).min()) for c in cache.layer_caches)
+
+
+def _checked_fallback(monkeypatch) -> dict:
+    """Check every InferState.infer call's gate-closed rows against classify.
+
+    The closed rows are recomputed here from the rule as stated (w * v_max
+    < 2**-60 * floor, floor >= 2**-960), with the floor taken from
+    encode_with_cache's caches. Each call must send every
+    other moved row, and only those, to classify, and give each closed row
+    classify's own decision for it. Returns running row counts: moved (what
+    classify received before the fallback), classified and closed.
+    """
+    counts = {"moved": 0, "classified": 0, "closed": 0}
+    floors = {}
+    classify, infer = learner.classify, learner.InferState.infer
+
+    def counting_classify(ids, *args):
+        counts["classified"] += len(ids)
+        return classify(ids, *args)
+
+    def checked_infer(state, token_ids, pool, classes, enc, calibrate=True):
+        before = -1 if state.task_idx is None else state.task_idx.copy()
+        classified = counts["classified"]
+        got = infer(state, token_ids, pool, classes, enc, calibrate)
+        moved = state.task_idx != before
+        if id(state) not in floors:
+            floors[id(state)] = min(_frozen_floor(state.ids, enc.image), _frozen_floor(classes, enc.text))
+        v_max = np.array([e.v_max for e in pool.entries])[state.task_idx]
+        floor = floors[id(state)]
+        closed = moved & (state.weights * v_max < 2.0**-60 * floor) & (floor >= 2.0**-960)
+        assert counts["classified"] - classified == np.sum(moved & ~closed)
+        if np.any(closed):
+            oracle = classify(state.ids[closed], state.task_idx[closed], state.weights[closed],
+                              pool, classes, enc)
+            assert np.array_equal(got[closed], oracle)
+        counts["moved"] += int(moved.sum())
+        counts["closed"] += int(closed.sum())
+        return got
+
+    monkeypatch.setattr(learner, "classify", counting_classify)
+    monkeypatch.setattr(learner.InferState, "infer", checked_infer)
+    return counts
+
+
+def _default_stream(seed: int, **overrides):
+    cfg = load_config(DEFAULT_CFG)
+    spec = dataclasses.replace(cfg.stream, **overrides, seed=seed)
+    enc = dataclasses.replace(cfg.encoder, vocab=spec.vocab).build()
+    return gen_stream(spec), enc, cfg.train
+
+
+# Rows that reach classify over one run_continual (the matrix's N^2 cells)
+# and over one infer_batch per task, task j >= 1 on the pool of the tasks
+# before it and task 0 on its own entry: (moved, classified). Moved rows
+# all reached classify before gate-closed rows took the frozen model's
+# decision; the classified ones are each task's own rows, routed at w near
+# 1 when its entry arrives. The perfbench stream20 spec is seed 0 with its
+# overrides.
+STREAM20 = {"num_tasks": 20, "vocab": 1024, "samples_per_class": 100}
+FALLBACK_ROWS = {
+    ("default", 0): ((1955, 800), (800, 160)),
+    ("default", 1): ((1942, 800), (800, 160)),
+    ("default", 2): ((1919, 800), (800, 160)),
+    ("default", 3): ((1931, 800), (800, 160)),
+    ("default", 4): ((1954, 800), (800, 160)),
+    ("stream20", 0): ((4239, 1600), (1600, 80)),
+}
+
+
+class TestClosedGateFallback:
+    @pytest.mark.parametrize("name,seed", sorted(FALLBACK_ROWS))
+    def test_fallback_rows_equal_classify(self, monkeypatch, name, seed):
+        stream, enc, cfg = _default_stream(seed, **(STREAM20 if name == "stream20" else {}))
+        counts = _checked_fallback(monkeypatch)
+        _, pool = run_continual(stream, enc, cfg)
+        run_rows = (counts["moved"], counts["classified"])
+        for key in counts:
+            counts[key] = 0
+        for j, task in enumerate(stream):
+            infer_batch(task.test_ids, _prefix(pool, max(j, 1)), task.class_templates, enc)
+        batch_rows = (counts["moved"], counts["classified"])
+        assert (run_rows, batch_rows) == FALLBACK_ROWS[name, seed]

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from resadapt.backbone import (
     DualEncoder,
     EncoderSpec,
+    EncoderStack,
     class_embeddings,
     encode,
     encode_backward,
@@ -21,12 +24,14 @@ from resadapt.errors import ConfigError, ContractError, DivergenceError, ShapeEr
 from resadapt.learner import (
     AdapterMode,
     AdapterSet,
+    InferState,
     PoolEntry,
     TaskPool,
     TrainConfig,
     classify,
     cosine_lr,
     estimate_task_stats,
+    gate_closed,
     infer_batch,
     predict,
     route,
@@ -848,3 +853,149 @@ class TestZeroShot:
             hits += int((_zero_shot(task.test_ids, task.class_templates, default_encoder) == task.test_labels).sum())
             total += len(task.test_labels)
         assert hits / total > 1.0 / len(stream[0].class_templates)
+
+
+def _classified_rows(monkeypatch) -> list:
+    """Count the rows that reach classify; returns the one-element running count."""
+    rows = [0]
+    classify = learner.classify
+
+    def counting(ids, *args):
+        rows[0] += len(ids)
+        return classify(ids, *args)
+
+    monkeypatch.setattr(learner, "classify", counting)
+    return rows
+
+
+def _with_v_r(entry: PoolEntry, value: float) -> PoolEntry:
+    """entry with one element of its last text adapter's v_r set to value."""
+    *text, last = entry.adapters.text_adapters
+    v_r = last.v_r.copy()
+    v_r[0, 0] = value
+    adapters = AdapterSet(entry.adapters.image_adapters, (*text, Adapter(last.k_r, v_r)))
+    return PoolEntry(adapters=adapters, gaussian=entry.gaussian)
+
+
+def _zeroed_layer(enc: DualEncoder, tower: str) -> DualEncoder:
+    """enc with layer 1 of one tower outputting exact zeros (w_v = 0, b_v = 0)."""
+    stack = getattr(enc, tower)
+    layer = dataclasses.replace(
+        stack.layers[1], w_v=np.zeros_like(stack.layers[1].w_v), b_v=np.zeros_like(stack.layers[1].b_v)
+    )
+    zeroed = EncoderStack(embed=stack.embed, layers=(stack.layers[0], layer, *stack.layers[2:]))
+    return dataclasses.replace(enc, **{tower: zeroed})
+
+
+@pytest.fixture(scope="module")
+def fresh_entry(small_stream, small_encoder):
+    """Task 0's zero-epoch residual entry: every v_r is zero, so v_max is 0."""
+    task = small_stream[0]
+    adapters = train_one(task.train_ids, task.train_labels, task.class_templates, small_encoder,
+                         dataclasses.replace(SMALL_CFG, epochs=0), make_rng(0, 7, 0))
+    return PoolEntry(adapters=adapters, gaussian=estimate_task_stats(task.train_ids, small_encoder))
+
+
+class TestClosedGate:
+    def test_v_max_is_derived_from_both_towers(self, trained, trained_prepend, fresh_entry):
+        _, entry = trained
+        atts = entry.adapters.image_adapters + entry.adapters.text_adapters
+        assert entry.v_max == max(float(np.abs(a.v_r).max()) for a in atts) > 0.0
+        assert _with_v_r(entry, 1e9).v_max == 1e9  # a text value counts too
+        assert fresh_entry.v_max == 0.0
+        assert trained_prepend[1].v_max == math.inf
+        assert PoolEntry(AdapterSet((), ()), entry.gaussian).v_max == 0.0
+        assert math.isinf(_with_v_r(entry, -math.inf).v_max)
+        assert math.isnan(_with_v_r(entry, math.nan).v_max)
+        with pytest.raises(TypeError):
+            PoolEntry(adapters=entry.adapters, gaussian=entry.gaussian, v_max=0.0)
+        assert "v_max" not in repr(entry)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        floor=st.floats(2.0**-960, 1e290),
+        x_scale=st.floats(1.0, 1e6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        v_max=st.floats(1e-300, 1e300),
+        y_frac=st.floats(-1.0, 1.0),
+        w_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    @example(floor=2.0**-960, x_scale=1.0, sign=1.0, v_max=1.0, y_frac=-1.0, w_frac=1.0)
+    @example(floor=2.0**-960, x_scale=1.0, sign=-1.0, v_max=1e-300, y_frac=1.0, w_frac=0.0)
+    @example(floor=1.0, x_scale=1.0, sign=1.0, v_max=1.0, y_frac=-1.0, w_frac=1.0)
+    def test_closed_addend_rounds_back_to_the_frozen_output(
+        self, floor, x_scale, sign, v_max, y_frac, w_frac
+    ):
+        # The rounding lemma: |x| >= floor >= 2**-960, |y| <= v_max and
+        # w * v_max < 2**-60 * floor give x + w * y == x, bit for bit. w_frac
+        # 0 (or an underflow) tests the subnormal w = 4.9e-324; x_scale 1
+        # puts x on floor, a power of two in the examples, where the float
+        # below x is only half an ulp away.
+        x = np.array([sign * floor * x_scale])
+        y = np.array([y_frac * v_max])
+        w = np.array([max(w_frac * (2.0**-60 * floor / v_max), 5e-324)])
+        assume(gate_closed(w, v_max, floor)[0])
+        assert abs(x[0]) >= floor and abs(y[0]) <= v_max
+        assert (x + w * y).tobytes() == x.tobytes()
+
+    def test_gate_closed_refuses_nan_inf_and_small_floors(self):
+        w = np.array([5e-324, 0.5, math.nan, 1e-300])
+        assert list(gate_closed(w, np.array([1.0, 0.0, 1.0, 1.0]), 1.0)) == [True, True, False, True]
+        assert not np.any(gate_closed(w, np.array([math.inf, math.nan, 0.0, math.inf]), 1.0))
+        for floor in (0.0, 2.0**-961, math.nan, math.inf):
+            assert not np.any(gate_closed(w, np.zeros(4), floor))
+
+    def test_foreign_rows_take_the_frozen_decision(self, small_stream, fresh_entry, small_encoder,
+                                                   monkeypatch):
+        # The control for the cases below: with v_max 0 every row of another
+        # task is gate-closed, none reaches classify, and each gets the bare
+        # model's decision.
+        rows = _classified_rows(monkeypatch)
+        foreign = small_stream[1]
+        cls, _, _ = infer_batch(foreign.test_ids, TaskPool([fresh_entry]), foreign.class_templates,
+                                small_encoder)
+        assert rows[0] == 0
+        assert np.array_equal(cls, _zero_shot(foreign.test_ids, foreign.class_templates, small_encoder))
+
+    def test_never_for_a_prompt_pool(self, small_stream, trained_prepend, small_encoder, monkeypatch):
+        rows = _classified_rows(monkeypatch)
+        foreign = small_stream[1]
+        state = InferState()
+        state.infer(foreign.test_ids, TaskPool([trained_prepend[1]], kind="prepend"),
+                    foreign.class_templates, small_encoder)
+        assert rows[0] == len(foreign.test_ids)
+        assert state.zero_shot is None
+
+    def test_never_without_calibration(self, small_stream, fresh_entry, small_encoder, monkeypatch):
+        rows = _classified_rows(monkeypatch)
+        foreign = small_stream[1]
+        state = InferState()
+        state.infer(foreign.test_ids, TaskPool([fresh_entry]), foreign.class_templates,
+                    small_encoder, calibrate=False)
+        assert rows[0] == len(foreign.test_ids)
+        assert state.zero_shot is None
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_never_for_a_non_finite_v_r(self, small_stream, fresh_entry, small_encoder, value):
+        # The entry's rows take today's path, whose encode refuses the
+        # non-finite features that a non-finite value gives at any w > 0.
+        foreign = small_stream[1]
+        pool = TaskPool([_with_v_r(fresh_entry, value)])
+        with np.errstate(invalid="ignore"), pytest.raises(ContractError):
+            infer_batch(foreign.test_ids, pool, foreign.class_templates, small_encoder)
+
+    @pytest.mark.parametrize("tower", ["image", "text"])
+    def test_never_with_a_zero_floor(self, small_stream, fresh_entry, small_encoder, tower,
+                                     monkeypatch):
+        # An exact zero in a frozen output makes the floor 0. In the image
+        # tower no row is a candidate; in the text tower the candidates are
+        # dropped once the templates' floor is taken.
+        enc = _zeroed_layer(small_encoder, tower)
+        task, foreign = small_stream
+        entry = PoolEntry(fresh_entry.adapters, estimate_task_stats(task.train_ids, enc))
+        rows = _classified_rows(monkeypatch)
+        state = InferState()
+        state.infer(foreign.test_ids, TaskPool([entry]), foreign.class_templates, enc)
+        assert state.floor == 0.0
+        assert (state.zero_shot is None) == (tower == "image")
+        assert rows[0] == len(foreign.test_ids)

@@ -242,6 +242,21 @@ def test_calibration_weight_batch_matches_scalar():
     assert np.array_equal(batch, [_weight(float(v)) for v in s])
 
 
+def test_calibration_weight_bits_equal_the_three_exp_expression():
+    # The weight takes exp(-|z|) once; its bits must be those of the
+    # expression that took it three times, NaN and both clips included.
+    rng = make_rng(11)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0, 1e300, -1e300]
+    z = np.concatenate([specials, rng.uniform(-800.0, 800.0, 2000), rng.normal(0.0, 5.0, 1000)])
+    old = np.where(
+        z >= 0.0,
+        1.0 / (1.0 + np.exp(-np.abs(z))),
+        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))),
+    )
+    old = np.clip(old, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    assert np.array_equal(calibration_weight_batch(z).view(np.uint64), old.view(np.uint64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-1e8, max_value=1e8, allow_nan=False))
 def test_calibration_weight_always_in_open_interval(s):
