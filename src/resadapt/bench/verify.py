@@ -102,8 +102,7 @@ def verify_zero_init_identity(seed: int = 0, n_inputs: int = 100) -> VerifyRepor
             top = CLOSED_MARGIN * floor / v_max
             while not gate_closed(top, v_max, floor):
                 top = np.nextafter(top, 0.0)
-            w = np.geomspace(5e-324, top, len(ids))
-            w[-1] = top
+            w = np.geomspace(5e-324, top, len(ids))  # both ends exact
             closed += int(np.sum(gate_closed(w, v_max, floor)))
             identical += int(np.sum(np.all(encode(ids, stack, adapters, w) == plain, axis=1)))
     report.check(

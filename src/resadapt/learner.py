@@ -534,7 +534,7 @@ class InferState:
     task_idx: np.ndarray | None = None
     weights: np.ndarray | None = None
     class_idx: np.ndarray | None = None
-    floor: float = 0.0  # encode's floor of the image rows, then of the templates too
+    floor: float = 0.0  # image rows' encode floor, then the templates' too; 0 closes no gate
     zero_shot: np.ndarray | None = None  # frozen decisions, formed at the first closed candidate
 
     def infer(
@@ -551,9 +551,14 @@ class InferState:
             raise ContractError("pool does not extend the pool this state has scored")
         # Compared by identity; bool() gives one of the two bool singletons.
         inputs = (token_ids, enc, candidate_classes, bool(calibrate))
+        # Only a calibrated residual pool's gate closes; no floor, no fallback.
+        gated = calibrate and pool.kind == "residual"
         if self.ids is None:
             ids = np.asarray(token_ids, dtype=np.int64)
-            self.frozen_feats, self.floor = encode(ids, enc.image, floor=True)
+            if gated:
+                self.frozen_feats, self.floor = encode(ids, enc.image, floor=True)
+            else:
+                self.frozen_feats = encode(ids, enc.image)
             self.inputs, self.ids = inputs, ids
             self.scores = np.empty((ids.shape[0], 0))
             self.task_idx = np.full(ids.shape[0], -1)
@@ -566,7 +571,7 @@ class InferState:
         self.scored.extend(new)
         task_idx, weights = route(self.scores, pool, calibrate)
         moved = task_idx != self.task_idx
-        if calibrate and pool.kind == "residual":
+        if gated:
             v_max = np.array([e.v_max for e in pool.entries])[task_idx]
             closed = moved & gate_closed(weights, v_max, self.floor)
             if np.any(closed):

@@ -964,7 +964,7 @@ class TestClosedGate:
         state.infer(foreign.test_ids, TaskPool([trained_prepend[1]], kind="prepend"),
                     foreign.class_templates, small_encoder)
         assert rows[0] == len(foreign.test_ids)
-        assert state.zero_shot is None
+        assert state.floor == 0.0 and state.zero_shot is None
 
     def test_never_without_calibration(self, small_stream, fresh_entry, small_encoder, monkeypatch):
         rows = _classified_rows(monkeypatch)
@@ -973,7 +973,7 @@ class TestClosedGate:
         state.infer(foreign.test_ids, TaskPool([fresh_entry]), foreign.class_templates,
                     small_encoder, calibrate=False)
         assert rows[0] == len(foreign.test_ids)
-        assert state.zero_shot is None
+        assert state.floor == 0.0 and state.zero_shot is None
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_never_for_a_non_finite_v_r(self, small_stream, fresh_entry, small_encoder, value):
