@@ -17,14 +17,19 @@ predict once per routed group, and none of the four is a traced target.
 Rows the gate closes skip classify: infer gives them the frozen model's
 decision, formed once per state from one bare template encode. So this
 script also runs run_continual on each workload in process, with those
-four, class_embeddings (predict's text encode) and encode wrapped from
-outside by perfbench's own Tracer (originals restored on exit), and
-records their calls and seconds per pass under the key "eval_calls", and
-the rows that classify and predict receive, which count the rows that
-the fallback did not decide. With encode wrapped, class_embeddings'
-self_s is its own work without the frozen text encode. encode's span
-counts every encode of the run, estimate_task_stats' and the frozen
-template encodes included, not only those under classify.
+four, class_embeddings (predict's text encode), encode, score_entries
+(each new entry's log-density column) and cholesky_solve (its triangular
+solves) wrapped from outside by perfbench's own Tracer (originals
+restored on exit), and records their calls and seconds per pass under the
+key "eval_calls", and the rows that classify and predict receive, which
+count the rows that the fallback did not decide. score_entries' seconds
+against infer's give scoring's share of checkpoint evaluation, and
+cholesky_solve's against score_entries' give the solves' share of
+scoring (a span's self_s excludes the spans under it). With encode wrapped,
+class_embeddings' self_s is its own work without the frozen text encode.
+encode's span counts every encode of the run, estimate_task_stats' and
+the frozen template encodes included, not only those under classify;
+cholesky_solve's counts only solves, which run only under score_entries.
 
 --root names the checkout to measure (default: the one holding this
 script), so a parent commit can be measured with the same writer. The file
@@ -84,16 +89,18 @@ def _eval_calls(root: Path, workload: str) -> dict:
     wl = run.load_workload(workload, SEED)
     stream, enc = run.stream_mod.gen_stream(wl.stream), wl.encoder.build()
     continual.run_continual(stream[:2], enc, wl.train, run.CALIBRATE, wl.mode)  # warm-up
-    # route, classify, predict, class_embeddings and encode are module functions,
-    # which Tracer.installed() replaces in every resadapt namespace;
-    # InferState.infer is a method, so it is set on the class by hand.
+    # route, classify, predict, score_entries, class_embeddings, encode and
+    # cholesky_solve are module functions, which Tracer.installed() replaces
+    # in every resadapt namespace; InferState.infer is a method, so it is set
+    # on the class by hand.
     Target = tracer_mod.Target
     infer = Target("resadapt.learner", "infer", "learner.InferState")
     tracer = tracer_mod.Tracer(
-        [Target("resadapt.learner", "route", "learner")]
+        [Target("resadapt.learner", f, "learner") for f in ("route", "score_entries")]
         + [Target("resadapt.learner", f, "learner", tracer_mod._rows_of(0, "ids"))
            for f in ("classify", "predict")]
         + [Target("resadapt.backbone", f, "backbone") for f in ("class_embeddings", "encode")]
+        + [Target("resadapt.numkernel", "cholesky_solve", "numkernel")]
     )
     spans = [infer.span] + [t.span for t in tracer.targets]
     passes = []

@@ -6,6 +6,10 @@ Cholesky factors, solves and log-determinants, a central-difference
 gradient oracle, and seeded RNG construction. Matrices are plain 2-D
 float64 numpy arrays (row-major).
 
+Triangular solves call LAPACK's dtrtrs (scipy.linalg.lapack) directly,
+with the arguments scipy.linalg.solve_triangular would pass it, so the
+bits are the same without that wrapper's per-call validation.
+
 Randomness: all streams come from numpy's PCG64 counter generator seeded
 through SeedSequence, so identical seeds give bit-identical draws and
 derived streams (see make_rng) are independent by construction.
@@ -16,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ContractError, ShapeError, SingularityError
 
@@ -123,10 +127,28 @@ def cholesky_factor(s: Mat) -> Mat:
         raise SingularityError(f"Cholesky factorization failed: {exc}") from exc
 
 
+def _trtrs(a: Mat, b: np.ndarray, lower: int, trans: int) -> np.ndarray:
+    """Solve op(a) x = b for triangular a, dispatched as solve_triangular does.
+
+    dtrtrs reads its matrix in Fortran order; a matrix that is not is
+    passed transposed, with the triangle and the transpose flag flipped.
+    """
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower, trans=trans)
+    else:
+        x, info = dtrtrs(a.T, b, lower=1 - lower, trans=1 - trans)
+    if info != 0:
+        raise SingularityError(f"triangular solve failed: dtrtrs info {info}")
+    return x
+
+
 def cholesky_solve(lower: Mat, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower factor L. b may be 1-D or 2-D."""
-    y = solve_triangular(lower, b, lower=True, check_finite=False)
-    return solve_triangular(lower.T, y, lower=False, check_finite=False)
+    """Solve (L L^T) x = b given the lower factor L. b may be 1-D or 2-D.
+
+    A zero on L's diagonal raises SingularityError; non-finite values in
+    b are not checked and propagate.
+    """
+    return _trtrs(lower.T, _trtrs(lower, b, 1, 0), 0, 0)
 
 
 def cholesky_logdet(lower: Mat) -> float:

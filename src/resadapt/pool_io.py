@@ -16,10 +16,10 @@ kind's class in attention.ATTACHMENTS: k_r, v_r (residual) or p (prepend).
 
 A Gaussian's Cholesky factor and log-determinant are not stored: the loader
 recomputes both from sigma. The encoder record and every payload's rows,
-cols and len hold JSON integers (no bools), every stored value must be
-finite and the ridge positive. Every attachment and Gaussian has the
-encoder's width, and an entry holds as many image as text attachments, at
-most one per layer.
+cols and len hold JSON integers (no bools), every payload's data is a
+JSON list, every stored value must be finite and the ridge positive.
+Every attachment and Gaussian has the encoder's width, and an entry holds
+as many image as text attachments, at most one per layer.
 Version 1 files are rejected.
 """
 
@@ -57,10 +57,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _dec_hex(data) -> np.ndarray:
+    """A payload's hex strings as float64, each through float.fromhex."""
+    if type(data) is not list:  # a dict or a string would iterate, too
+        raise ConfigError(f"pool payload data needs a list, got {type(data).__name__}")
+    return np.fromiter(map(float.fromhex, data), np.float64, count=len(data))
+
+
 def _dec_mtx(obj: dict) -> np.ndarray:
     rows = _json_int(obj["rows"], "pool matrix rows")
     cols = _json_int(obj["cols"], "pool matrix cols")
-    data = np.array([float.fromhex(s) for s in obj["data"]], dtype=np.float64)
+    data = _dec_hex(obj["data"])
     if data.size != rows * cols:
         raise ConfigError(f"matrix payload has {data.size} values for {rows}x{cols}")
     return mat(data.reshape(rows, cols))
@@ -71,7 +78,7 @@ def _enc_vec(a: np.ndarray) -> dict:
 
 
 def _dec_vec(obj: dict) -> np.ndarray:
-    data = vec([float.fromhex(s) for s in obj["data"]])
+    data = vec(_dec_hex(obj["data"]))
     if data.size != _json_int(obj["len"], "pool vector len"):
         raise ConfigError("vector payload length mismatch")
     return data

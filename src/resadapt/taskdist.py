@@ -73,13 +73,20 @@ def log_density_batch(g: TaskGaussian, x: np.ndarray) -> np.ndarray:
     """Gaussian log density of every row of (B, d).
 
     -0.5 [(x-mu)^T Sigma^-1 (x-mu) + d log 2pi + log|Sigma|] per row.
+    Each row's score is bit-identical to the one it gets in any other
+    batch.
     """
     x = mat(x)
     if x.shape[1] != g.d:
         raise ShapeError(f"feature width {x.shape[1]} does not match model width {g.d}")
     diff = x - g.mu
+    if diff.shape[0] == 1:
+        # BLAS solves one column by another path, which can differ in the
+        # last bits from the same column inside a batch: a lone row is
+        # solved as two identical columns, and the first is kept.
+        diff = np.repeat(diff, 2, axis=0)
     solved = cholesky_solve(g.chol, diff.T)
-    maha = np.einsum("db,db->b", diff.T, solved)
+    maha = np.einsum("db,db->b", diff.T, solved)[: x.shape[0]]
     return -0.5 * (maha + g.d * LOG_2PI + g.logdet)
 
 

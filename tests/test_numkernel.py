@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,6 +312,39 @@ def test_cholesky_factor_solve_roundtrip():
         x = cholesky_solve(lower, s @ x0)
         assert np.linalg.norm(x - x0) / np.linalg.norm(x0) < 1e-8
         assert abs(cholesky_logdet(lower) - np.linalg.slogdet(s)[1]) < 1e-8
+
+
+def _scipy_cholesky_solve(lower, b):
+    # The two-call solve_triangular path that cholesky_solve calls dtrtrs in place of.
+    y = solve_triangular(lower, b, lower=True, check_finite=False)
+    return solve_triangular(lower.T, y, lower=False, check_finite=False)
+
+
+@pytest.mark.parametrize("d", [1, 4, 32])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cols", [None, 1, 2, 80])
+def test_cholesky_solve_matches_solve_triangular_bitwise(d, order, cols):
+    rng = make_rng(11, d, cols or 0)
+    a = rng.normal(size=(d, d))
+    lower = np.asarray(cholesky_factor(a @ a.T + 0.1 * np.eye(d)), order=order)
+    for trial in range(5):
+        b = rng.normal(size=(d,) if cols is None else (d, cols)) * 10.0**trial
+        got, want = cholesky_solve(lower, b), _scipy_cholesky_solve(lower, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cholesky_solve_zero_diagonal_raises(order):
+    lower = np.asarray(mat([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.3, 1.0]]), order=order)
+    with pytest.raises(SingularityError):
+        cholesky_solve(lower, vec([1.0, 2.0, 3.0]))
+
+
+def test_cholesky_solve_propagates_nan():
+    lower = cholesky_factor(mat([[4.0, 1.0], [1.0, 3.0]]))
+    x = cholesky_solve(lower, np.array([[np.nan, 1.0], [2.0, 1.0]]))
+    assert np.isnan(x[:, 0]).all() and np.isfinite(x[:, 1]).all()
 
 
 # -------------------------------------------------------------- finite diff

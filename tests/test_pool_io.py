@@ -176,6 +176,24 @@ class TestRejection:
         message = self._tamper(residual_pool, tmp_path, poison)
         assert "non-finite" in message and "pool.json" in message
 
+    @pytest.mark.parametrize(
+        "where", [("gaussian", "mu"), ("gaussian", "sigma"), ("image_adapters", 0, "v_r")]
+    )
+    @pytest.mark.parametrize(
+        "data",
+        [lambda old: 5, lambda old: {h: h for h in old}, lambda old: "1" * len(old),
+         lambda old: old[:-1]],
+        ids=["number", "dict", "string", "short"],
+    )
+    def test_malformed_payload_data(self, residual_pool, tmp_path, where, data):
+        def replace(doc):
+            obj = doc["entries"][0]
+            for key in where:
+                obj = obj[key]
+            obj["data"] = data(obj["data"])
+
+        self._tamper(residual_pool, tmp_path, replace)
+
     @pytest.mark.parametrize("ridge", [0.0, -1e-7, float("inf"), float("nan")])
     def test_ridge_not_finite_positive(self, residual_pool, tmp_path, ridge):
         def set_ridge(doc):

@@ -134,14 +134,17 @@ def test_log_density_matches_scipy():
     assert np.all(np.abs(log_density_batch(g, xs) - ref) < 1e-8)
 
 
-def test_log_density_batch_matches_loop():
-    # Row independence: a batch scores each row as a batch of one would.
-    rng = make_rng(3)
-    g = fit_gaussian(rng.normal(size=(80, 4)), ridge=1e-7)
-    xs = rng.normal(size=(25, 4))
+@pytest.mark.parametrize("d,b", [(4, 25), (32, 1), (32, 2), (32, 3), (32, 80)])
+def test_log_density_batch_matches_loop(d, b):
+    # Row independence: a batch scores each row bit for bit as a batch of
+    # one would, and a batch's leading rows as that batch's prefix would.
+    rng = make_rng(3, d, b)
+    g = fit_gaussian(rng.normal(size=(120, d)), ridge=1e-7)
+    xs = rng.normal(size=(b, d)) * 2.0
     batch = log_density_batch(g, xs)
     looped = np.array([_log_density(g, x) for x in xs])
-    assert np.allclose(batch, looped, atol=1e-10)
+    assert np.array_equal(batch, looped)
+    assert np.array_equal(log_density_batch(g, xs[:2]), batch[:2])
 
 
 def test_log_density_maximized_at_mean():
