@@ -19,13 +19,13 @@ decision, formed once per state from one bare template encode. So this
 script also runs run_continual on each workload in process, with those
 four, class_embeddings (predict's text encode), encode, score_entries
 (each new entry's log-density column) and cholesky_solve (its triangular
-solves) wrapped from outside by perfbench's own Tracer (originals
-restored on exit), and records their calls and seconds per pass under the
-key "eval_calls", and the rows that classify and predict receive, which
-count the rows that the fallback did not decide. score_entries' seconds
-against infer's give scoring's share of checkpoint evaluation, and
-cholesky_solve's against score_entries' give the solves' share of
-scoring (a span's self_s excludes the spans under it). With encode wrapped,
+solves) wrapped from outside by perfbench's own Tracer (EVAL_TARGETS lists
+them; originals restored on exit), and records their calls and seconds per
+pass under the key "eval_calls", and the rows that classify and predict
+receive, which count the rows that the fallback did not decide.
+score_entries' seconds against infer's give scoring's share of checkpoint
+evaluation, and cholesky_solve's against score_entries' give the solves'
+share of scoring (a span's self_s excludes the spans under it). With encode wrapped,
 class_embeddings' self_s is its own work without the frozen text encode.
 encode's span counts every encode of the run, estimate_task_stats' and
 the frozen template encodes included, not only those under classify;
@@ -52,6 +52,22 @@ from pathlib import Path
 
 EVAL_PASSES = 3
 SEED = 0
+
+# What _eval_calls wraps, as (module, qualified name); a span is named by
+# the module's last part and the qualified name. The first entry is a
+# method, set on its class by hand; the rest are module functions.
+EVAL_TARGETS = (
+    ("resadapt.learner", "InferState.infer"),
+    ("resadapt.learner", "route"),
+    ("resadapt.learner", "score_entries"),
+    ("resadapt.learner", "classify"),
+    ("resadapt.learner", "predict"),
+    ("resadapt.backbone", "class_embeddings"),
+    ("resadapt.backbone", "encode"),
+    ("resadapt.numkernel", "cholesky_solve"),
+)
+# The targets that also count the rows they receive.
+ROW_COUNTED = ("classify", "predict")
 
 
 def _run_perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -89,19 +105,16 @@ def _eval_calls(root: Path, workload: str) -> dict:
     wl = run.load_workload(workload, SEED)
     stream, enc = run.stream_mod.gen_stream(wl.stream), wl.encoder.build()
     continual.run_continual(stream[:2], enc, wl.train, run.CALIBRATE, wl.mode)  # warm-up
-    # route, classify, predict, score_entries, class_embeddings, encode and
-    # cholesky_solve are module functions, which Tracer.installed() replaces
-    # in every resadapt namespace; InferState.infer is a method, so it is set
-    # on the class by hand.
-    Target = tracer_mod.Target
-    infer = Target("resadapt.learner", "infer", "learner.InferState")
-    tracer = tracer_mod.Tracer(
-        [Target("resadapt.learner", f, "learner") for f in ("route", "score_entries")]
-        + [Target("resadapt.learner", f, "learner", tracer_mod._rows_of(0, "ids"))
-           for f in ("classify", "predict")]
-        + [Target("resadapt.backbone", f, "backbone") for f in ("class_embeddings", "encode")]
-        + [Target("resadapt.numkernel", "cholesky_solve", "numkernel")]
-    )
+    # Tracer.installed() replaces a module function in every resadapt
+    # namespace; InferState.infer is a method, so it is set on the class by
+    # hand.
+    targets = []
+    for module, name in EVAL_TARGETS:
+        layer, _, func = f"{module.rpartition('.')[2]}.{name}".rpartition(".")
+        rows = tracer_mod._rows_of(0, "ids") if func in ROW_COUNTED else None
+        targets.append(tracer_mod.Target(module, func, layer, rows))
+    infer, *functions = targets
+    tracer = tracer_mod.Tracer(functions)
     spans = [infer.span] + [t.span for t in tracer.targets]
     passes = []
     original = learner.InferState.infer

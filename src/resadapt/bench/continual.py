@@ -1,14 +1,15 @@
-"""Domain-class incremental runs over a task stream.
+"""Domain-class incremental runs over a task stream: train, then evaluate.
 
-Tasks are learned in order. For task i the harness first computes frozen
-feature statistics, then trains the attachments and appends the immutable
-pool entry. Consecutive tasks of one shape train in lockstep groups of up
-to MAX_GROUP, and a task's entry does not depend on its group. train_pool
-stops there; run_continual then evaluates every task's test split with the
-pool as it stands, filling row i of the accuracy matrix. Entries for j <= i
-use learned adapters; entries for j > i measure what the partly-trained
-system does on data it has never seen (with calibration on, effectively the
-frozen model).
+train_pool learns the tasks in order: for task i it computes frozen feature
+statistics, then trains the attachments and appends the immutable pool
+entry. Consecutive tasks of one shape train in lockstep groups of up to
+MAX_GROUP, and a task's entry does not depend on its group. Entries never
+change once stored, so checkpoint i, the pool as it stood after task i, is
+the first i + 1 entries; checkpoint_matrix evaluates every task's test split
+at each of them, filling row i of the accuracy matrix. Entries for j <= i use
+learned adapters; entries for j > i measure what the partly-trained system
+does on data it has never seen (with calibration on, effectively the frozen
+model). run_continual is train_pool, then checkpoint_matrix.
 """
 
 from __future__ import annotations
@@ -64,23 +65,6 @@ def evaluate_task(
     return float((class_idx == task.test_labels).mean())
 
 
-def _grow_pool(
-    stream: list[Task], enc: DualEncoder, cfg: TrainConfig, mode: str | AdapterMode
-) -> Iterator[TaskPool]:
-    """Learn the stream's tasks in order, yielding the pool after each one."""
-    if isinstance(mode, str):
-        mode = AdapterMode.parse(mode)
-    if not stream:
-        raise ConfigError("empty task stream")
-    pool = TaskPool(entries=[], kind=mode.mechanism)
-    for first, group in _groups(stream):
-        # Statistics first, on the frozen encoder; training cannot bias them.
-        gaussians = [estimate_task_stats(task.train_ids, enc, cfg.ridge) for task in group]
-        for adapters, gaussian in zip(_train_group(group, first, enc, cfg, mode), gaussians):
-            pool.entries.append(PoolEntry(adapters=adapters, gaussian=gaussian))
-            yield pool
-
-
 def _groups(stream: list[Task]) -> Iterator[tuple[int, list[Task]]]:
     """Runs of at most MAX_GROUP consecutive tasks of one shape, with their first index."""
     first = 0
@@ -116,31 +100,45 @@ def _train_group(
         raise DivergenceError(exc.step, first + exc.task) from None
 
 
-def train_pool(
-    stream: list[Task], enc: DualEncoder, cfg: TrainConfig, mode: str | AdapterMode = "iki"
-) -> TaskPool:
-    """Train the stream in order without evaluating; returns the final pool."""
-    *_, pool = _grow_pool(stream, enc, cfg, mode)
+def train_pool(stream: list[Task], enc: DualEncoder, cfg: TrainConfig, mode: str = "iki") -> TaskPool:
+    """Learn the stream's tasks in order without evaluating; returns the final pool."""
+    adapter_mode = AdapterMode.parse(mode)
+    if not stream:
+        raise ConfigError("empty task stream")
+    pool = TaskPool(entries=[], kind=adapter_mode.mechanism)
+    for first, group in _groups(stream):
+        # Statistics first, on the frozen encoder; training cannot bias them.
+        gaussians = [estimate_task_stats(task.train_ids, enc, cfg.ridge) for task in group]
+        pool.entries += map(PoolEntry, _train_group(group, first, enc, cfg, adapter_mode), gaussians)
     return pool
 
 
-def run_continual(
-    stream: list[Task],
-    enc: DualEncoder,
-    cfg: TrainConfig,
-    calibrate: bool = True,
-    mode: str | AdapterMode = "iki",
-) -> tuple[np.ndarray, TaskPool]:
-    """Train the stream in order; returns (accuracy matrix, final pool)."""
+def checkpoint_matrix(
+    stream: list[Task], pool: TaskPool, enc: DualEncoder, calibrate: bool = True, logit_scale: float = 100.0
+) -> np.ndarray:
+    """Accuracy matrix of a pool trained on stream: [i, j] is task j at checkpoint i.
+
+    Checkpoint i is the pool's first i + 1 entries. Each task's column runs
+    through one InferState, which scores only the entries each checkpoint
+    adds and re-classifies only the samples they take over; it is dropped
+    when its column is done.
+    """
     n = len(stream)
+    checkpoints = [TaskPool(pool.entries[: i + 1], pool.kind) for i in range(n)]
     matrix = np.zeros((n, n))
-    # One evaluation state per task: each checkpoint scores only the new
-    # entry and re-classifies only the samples it takes over.
-    states = [InferState() for _ in stream]
-    for i, pool in enumerate(_grow_pool(stream, enc, cfg, mode)):
-        for j, other in enumerate(stream):
-            matrix[i, j] = evaluate_task(other, pool, enc, calibrate, cfg.logit_scale, states[j])
-    return matrix, pool
+    for j, task in enumerate(stream):
+        state = InferState()
+        for i, checkpoint in enumerate(checkpoints):
+            matrix[i, j] = evaluate_task(task, checkpoint, enc, calibrate, logit_scale, state)
+    return matrix
+
+
+def run_continual(
+    stream: list[Task], enc: DualEncoder, cfg: TrainConfig, calibrate: bool = True, mode: str = "iki"
+) -> tuple[np.ndarray, TaskPool]:
+    """Train the stream in order, then evaluate every checkpoint; returns (accuracy matrix, final pool)."""
+    pool = train_pool(stream, enc, cfg, mode)
+    return checkpoint_matrix(stream, pool, enc, calibrate, cfg.logit_scale), pool
 
 
 def zero_shot_sweep(stream: list[Task], enc: DualEncoder) -> list[float]:

@@ -10,9 +10,9 @@ Five suites:
                   force all value rows to stay pairwise identical; random
                   keys break the degeneracy and let the loss fall
   metrics         transfer/avg/last against hand values and brute force
-  claims          the paper's claims on the default desk-scale stream:
-                  calibrated Transfer equals zero-shot, the ablation
-                  ordering on Transfer at equal Last, and the manual dial
+  claims          the paper's claims on the default desk-scale stream,
+                  with one zero-init pool read gated and open: calibrated
+                  Transfer = zero-shot, the Transfer ordering, the dial
 
 Each check contributes one line to the report; a suite passes when every
 line does. The claims report also carries its measurements as a
@@ -42,6 +42,7 @@ from ..learner import CLOSED_MARGIN, TrainConfig, gate_closed
 from ..numkernel import finite_diff_grad, make_rng
 from .continual import (
     assignment_accuracy,
+    checkpoint_matrix,
     manual_weight_sweep,
     run_continual,
     zero_shot_sweep,
@@ -353,7 +354,8 @@ def verify_claims(seed: int = 0) -> VerifyReport:
     # Both comparison arms run without the calibration gate: with it on, any
     # initialization's unseen-task weight collapses to zero and Transfer
     # equals zero-shot for all arms, which would make the ordering vacuous.
-    open_matrix, _ = run_continual(stream, enc, cfg, False, "iki")
+    # The gate acts only at inference: the gate-open arm reads the same pool.
+    open_matrix = checkpoint_matrix(stream, pool, enc, False, cfg.logit_scale)
     ablate_matrix, _ = run_continual(stream, enc, cfg, False, "iki-ablation:1.0")
     arms = {
         "calibrated": _aggregates(matrix),

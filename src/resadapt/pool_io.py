@@ -26,7 +26,6 @@ Version 1 files are rejected.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .backbone import EncoderSpec
 from .errors import ConfigError, ContractError, ShapeError, SingularityError
 from .learner import AdapterSet, PoolEntry, TaskPool
 from .taskdist import TaskGaussian
-from .numkernel import cholesky_factor, cholesky_logdet, mat, vec
+from .numkernel import mat, vec
 
 FORMAT_NAME = "resadapt-pool"
 FORMAT_VERSION = 2
@@ -143,16 +142,9 @@ def load_pool(path: str | Path) -> tuple[TaskPool, EncoderSpec]:
 
 
 def _decode_gaussian(g: dict) -> TaskGaussian:
-    sigma = _dec_mtx(g["sigma"])
-    ridge = float.fromhex(g["ridge"])
-    if not 0.0 < ridge < math.inf:
-        raise ContractError(f"ridge must be finite and positive, got {ridge}")
     # The Cholesky factor and log-determinant are derived from sigma, whose
     # stored reals round-trip bit-exactly.
-    chol = cholesky_factor(sigma)
-    return TaskGaussian(
-        mu=_dec_vec(g["mu"]), sigma=sigma, ridge=ridge, chol=chol, logdet=cholesky_logdet(chol)
-    )
+    return TaskGaussian(_dec_vec(g["mu"]), _dec_mtx(g["sigma"]), float.fromhex(g["ridge"]))
 
 
 def _decode_entry(e: dict, kind: str, encoder: EncoderSpec) -> PoolEntry:
@@ -162,7 +154,7 @@ def _decode_entry(e: dict, kind: str, encoder: EncoderSpec) -> PoolEntry:
         raise ConfigError(f"an entry holds {len(image)} image and {len(text)} text attachments, "
                           f"not an equal number up to the encoder depth {encoder.depth}")
     gaussian = _decode_gaussian(e["gaussian"])
-    widths = {a.d for a in image + text} | {gaussian.d, *gaussian.sigma.shape}
+    widths = {a.d for a in image + text} | {gaussian.d}
     if widths != {encoder.d}:
         raise ConfigError(f"an entry's attachment and Gaussian widths {sorted(widths)} "
                           f"are not the encoder's embed_dim {encoder.d}")

@@ -11,7 +11,9 @@ a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import ContractError, ShapeError, SingularityError
@@ -24,15 +26,25 @@ RIDGE_MAX = 1e-3
 class TaskGaussian:
     """Gaussian feature model of one task, with cached Cholesky factor.
 
-    sigma already includes the ridge actually used; chol and logdet are
-    derived caches, never inputs.
+    mu is (d,) and sigma (d, d); sigma already includes the ridge actually
+    used, which is finite and positive. chol and logdet are derived from
+    sigma, never inputs; a sigma that does not factor raises SingularityError.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
     ridge: float
-    chol: np.ndarray
-    logdet: float
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.ridge < math.inf:
+            raise ContractError(f"ridge must be finite and positive, got {self.ridge}")
+        if self.mu.ndim != 1 or self.sigma.shape != (self.d, self.d):
+            raise ShapeError(f"mean of shape {self.mu.shape} with sigma of shape {self.sigma.shape}")
+        chol = cholesky_factor(self.sigma)
+        object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "logdet", cholesky_logdet(chol))
 
     @property
     def d(self) -> int:
@@ -50,19 +62,13 @@ def fit_gaussian(features: np.ndarray, ridge: float = 1e-7) -> TaskGaussian:
     n, d = x.shape
     if n < 1:
         raise ShapeError("need at least one feature row")
-    if ridge <= 0.0:
-        raise ContractError("ridge must be positive")
     mu = x.mean(axis=0)
     centered = x - mu
     base = (centered.T @ centered) / n
     r = ridge
     while True:
         try:
-            sigma = base + r * np.eye(d)
-            chol = cholesky_factor(sigma)
-            return TaskGaussian(
-                mu=mu, sigma=sigma, ridge=r, chol=chol, logdet=cholesky_logdet(chol)
-            )
+            return TaskGaussian(mu, base + r * np.eye(d), r)
         except SingularityError:
             if r >= RIDGE_MAX:
                 raise

@@ -5,15 +5,16 @@ perfbench/run.py calls infer_batch and evaluate_task with positional
 arguments, and its op probe (`--trace 1`) calls the layer ops on one
 training batch. A library change that renames, deletes, reorders or
 narrows any of these breaks the benchmark; these tests catch it in the
-tier-1 suite. The
-tracer's hooks also read arguments: the row count of encode_with_cache is
-the length of its first argument (in training, the tasks of a lockstep
-group), and one batch_cross_entropy call counts one SGD step of a group, so
-a traced run checks both. These tests only
-read perfbench/, and compile tracer.py from its source so no bytecode cache
-is written there.
+tier-1 suite, and do the same for the functions scripts/bench_snapshot.py
+wraps. The tracer's hooks also read arguments: the row count of
+encode_with_cache is the length of its first argument (in training, the
+tasks of a lockstep group), and one batch_cross_entropy call counts one SGD
+step of a group, so a traced run checks both. These tests only read
+perfbench/ and scripts/, and compile tracer.py and bench_snapshot.py from
+their source so no bytecode cache is written there.
 """
 
+import functools
 import importlib
 import math
 import sys
@@ -34,6 +35,7 @@ from resadapt.learner import TrainConfig, infer_batch
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+SNAPSHOT = ROOT / "scripts" / "bench_snapshot.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,20 @@ def test_every_layer_target_resolves(tracer):
     for target in tracer.LAYER_TARGETS:
         func = getattr(importlib.import_module(target.module), target.func, None)
         assert callable(func), f"{target.module}.{target.func}"
+
+
+def test_every_snapshot_target_resolves(monkeypatch):
+    # scripts/bench_snapshot.py wraps its EVAL_TARGETS by name. Its module
+    # body runs from source (no bytecode, no main), and the OpenBLAS thread
+    # pin it sets is undone afterwards.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    script = {"__name__": "bench_snapshot"}
+    exec(compile(SNAPSHOT.read_text(), str(SNAPSHOT), "exec"), script)
+    assert script["EVAL_TARGETS"]
+    for module, name in script["EVAL_TARGETS"]:
+        func = functools.reduce(getattr, name.split("."), importlib.import_module(module))
+        assert callable(func), f"{module}.{name}"
+    assert set(script["ROW_COUNTED"]) <= {name for _, name in script["EVAL_TARGETS"]}
 
 
 def test_positional_calls_as_the_benchmark_makes_them(small_encoder):

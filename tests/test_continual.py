@@ -345,6 +345,42 @@ class TestCachedEvaluation:
         assert np.array_equal(got, infer_batch(ids, _prefix(pool, 2), classes, small_encoder)[0])
 
 
+class TestTwoPasses:
+    def test_training_ends_before_evaluation_starts(self, small_encoder, monkeypatch):
+        # Two lockstep groups: no checkpoint is evaluated while a later
+        # group still trains.
+        stream = gen_stream(
+            StreamSpec(num_tasks=MAX_GROUP + 1, classes_per_task=2, samples_per_class=10, vocab=64)
+        )
+        calls = []
+
+        def recorded(name):
+            real = getattr(continual, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(continual, name, call)
+
+        recorded("train_task")
+        recorded("evaluate_task")
+        matrix, _ = run_continual(stream, small_encoder, CFG)
+        n = len(stream)
+        assert calls == ["train_task"] * 2 + ["evaluate_task"] * n * n
+        assert matrix.shape == (n, n)
+
+    @pytest.mark.parametrize("calibrate", [True, False])
+    @pytest.mark.parametrize("mode", sorted(SMALL_ADAPTER_DIGESTS))
+    def test_matrix_of_a_trained_pool_equals_the_run(self, four_stream, small_encoder, mode, calibrate):
+        # The claims suite reads the gate-open arm off the calibrated run's
+        # pool on this basis: the matrix depends on the final pool alone.
+        pool = train_pool(four_stream, small_encoder, CFG, mode)
+        matrix = continual.checkpoint_matrix(four_stream, pool, small_encoder, calibrate)
+        want, _ = run_continual(four_stream, small_encoder, CFG, calibrate, mode)
+        assert matrix.tobytes() == want.tobytes()
+
+
 class TestZeroShotSweep:
     def test_matches_manual_count(self, small_stream, small_encoder):
         sweep = zero_shot_sweep(small_stream, small_encoder)

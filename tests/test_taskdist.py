@@ -13,11 +13,12 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from resadapt import taskdist
-from resadapt.errors import ContractError, SingularityError
+from resadapt.errors import ContractError, ShapeError, SingularityError
 from resadapt.learner import AdapterSet, PoolEntry, TaskPool, route, score_entries
-from resadapt.numkernel import make_rng
+from resadapt.numkernel import cholesky_factor, cholesky_logdet, make_rng
 from resadapt.taskdist import (
     RIDGE_MAX,
+    TaskGaussian,
     calibration_weight_batch,
     fit_gaussian,
     log_density_batch,
@@ -109,6 +110,37 @@ def test_fit_gives_up_at_ridge_max(monkeypatch):
         fit_gaussian(np.tile(np.arange(4.0), (50, 1)), ridge=1e-7)
     # 1e-7 up by factors of 10, the last try clamped to RIDGE_MAX.
     assert len(tried) == 5 and tried[-1] == RIDGE_MAX and tried[-2] < RIDGE_MAX
+
+
+def test_gaussian_derives_factor_and_logdet():
+    g = fit_gaussian(make_rng(7).normal(size=(40, 5)), ridge=1e-7)
+    chol = cholesky_factor(g.sigma)
+    assert g.chol.tobytes() == chol.tobytes()
+    assert g.logdet == cholesky_logdet(chol)
+    again = TaskGaussian(g.mu, g.sigma, g.ridge)
+    assert again.chol.tobytes() == chol.tobytes() and again.logdet == g.logdet
+
+
+@pytest.mark.parametrize("derived", [("chol",), ("logdet",), ("chol", "logdet")])
+def test_gaussian_refuses_derived_inputs(derived):
+    # chol and logdet always come from sigma; a caller cannot supply them.
+    g = fit_gaussian(make_rng(7).normal(size=(40, 5)), ridge=1e-7)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        TaskGaussian(g.mu, g.sigma, g.ridge, **{name: getattr(g, name) for name in derived})
+
+
+@pytest.mark.parametrize("ridge", [0.0, -1e-7, math.inf, math.nan])
+def test_gaussian_refuses_ridge_not_finite_positive(ridge):
+    with pytest.raises(ContractError, match="ridge"):
+        TaskGaussian(np.zeros(2), np.eye(2), ridge)
+
+
+@pytest.mark.parametrize(
+    "mu,sigma", [(np.zeros(3), np.eye(2)), (np.zeros((2, 2)), np.eye(2)), (np.zeros(2), np.ones((2, 3)))]
+)
+def test_gaussian_refuses_mismatched_shapes(mu, sigma):
+    with pytest.raises(ShapeError):
+        TaskGaussian(mu, sigma, 1e-7)
 
 
 # ------------------------------------------------------------------ density

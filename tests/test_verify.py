@@ -87,9 +87,15 @@ def claim_inputs(monkeypatch):
         "unseen": {0.0: 0.6, 1.0: 0.5},
     }
     stream = [SimpleNamespace(index=i) for i in range(5)]
+    pools = {}
 
     def run_continual(stream, enc, cfg, calibrate, mode):
-        return inputs[(mode, calibrate)], TaskPool(entries=[None])
+        pools[mode, calibrate] = TaskPool(entries=[None])
+        return inputs[(mode, calibrate)], pools[mode, calibrate]
+
+    def checkpoint_matrix(stream, pool, enc, calibrate, logit_scale):
+        assert pool is pools["iki", True]  # the gate-open arm re-reads the calibrated pool
+        return inputs[("iki", calibrate)]
 
     def manual_weight_sweep(task, entry, enc, weights):
         dial = inputs["trained" if task.index == 0 else "unseen"]
@@ -99,6 +105,7 @@ def claim_inputs(monkeypatch):
         "gen_stream": lambda spec: stream,
         "zero_shot_sweep": lambda stream, enc: [0.0] + [inputs["zero_shot"]] * (len(stream) - 1),
         "run_continual": run_continual,
+        "checkpoint_matrix": checkpoint_matrix,
         "assignment_accuracy": lambda stream, pool, enc: inputs["assignment"],
         "manual_weight_sweep": manual_weight_sweep,
     }
